@@ -338,8 +338,15 @@ impl ContentIndex {
                 }
             }
         }
+        // `all` holds one entry per (path, link), while a link's reverse
+        // list holds one posting per node — two values on one path (two
+        // `interface/@type`s) are two postings — so count distinct paths.
         let posted: usize = self.by_path.values().map(|e| e.all.len()).sum();
-        let reverse: usize = self.postings_of.values().map(|p| p.len()).sum();
+        let reverse: usize = self
+            .postings_of
+            .values()
+            .map(|p| p.iter().map(|(path, _)| path).collect::<HashSet<_>>().len())
+            .sum();
         assert_eq!(posted, reverse, "forward/reverse posting counts diverge");
     }
 }

@@ -139,3 +139,32 @@ proptest! {
         }
     }
 }
+
+/// Corpus tuples carry several values on one content path (two
+/// `interface/@type`s each), which the content index must count as one
+/// path per tuple: a registry of generated services stays consistent
+/// through publish, refresh and unpublish, with the index on and off.
+#[test]
+fn corpus_registry_consistent_through_publish_refresh_unpublish() {
+    use wsda_registry::clock::ManualClock;
+    use wsda_registry::workload::CorpusGenerator;
+    use wsda_registry::{HyperRegistry, RegistryConfig};
+
+    for content_index in [true, false] {
+        let registry = HyperRegistry::new(
+            RegistryConfig { content_index, ..RegistryConfig::default() },
+            Arc::new(ManualClock::new()),
+        );
+        let links = CorpusGenerator::new(7).populate(&registry, 24, 60_000);
+        registry.check_consistent();
+        for link in links.iter().step_by(2) {
+            registry.refresh(link, Some(120_000)).unwrap();
+        }
+        registry.check_consistent();
+        for link in links.iter().step_by(3) {
+            registry.unpublish(link).unwrap();
+        }
+        registry.check_consistent();
+        assert_eq!(registry.live_tuples(), links.len() - links.iter().step_by(3).count());
+    }
+}

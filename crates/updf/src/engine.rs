@@ -1902,17 +1902,7 @@ impl SimNetwork {
                         plan: Some(o.stats.plan),
                         degraded: !o.completeness.is_complete(),
                         shed: false,
-                        items: o
-                            .results
-                            .iter()
-                            .map(|item| match item.as_node() {
-                                Some(n) => match n.materialize_element() {
-                                    Some(e) => e.to_compact_string(),
-                                    None => n.string_value(),
-                                },
-                                None => item.string_value(),
-                            })
-                            .collect(),
+                        items: o.results.iter().map(wsda_xq::Item::serialize).collect(),
                     },
                     None => EvalOut { items: Vec::new(), plan: None, degraded: false, shed: false },
                 }

@@ -1316,9 +1316,10 @@ impl PeerThread {
                         );
                         // Pipelined: local items leave immediately; `last`
                         // only when no children are outstanding.
-                        self.reply(rt, from, transaction, items, complete, false);
                         if complete {
-                            self.finish_txn(rt, clock, transaction);
+                            self.reply_last(rt, clock, from, transaction, items, false);
+                        } else {
+                            self.reply(rt, from, transaction, items, false, false);
                         }
                     }
                 }
@@ -1370,8 +1371,7 @@ impl PeerThread {
                         self.reply(rt, p, transaction, items, false, cached);
                     }
                     if finalize {
-                        self.reply(rt, p, transaction, Vec::new(), true, tainted);
-                        self.finish_txn(rt, clock, transaction);
+                        self.reply_last(rt, clock, p, transaction, Vec::new(), tainted);
                     }
                 }
             }
@@ -1558,17 +1558,7 @@ impl PeerThread {
         match rt.qcache.get_or_compile(query_src, QueryLanguage::XQuery) {
             CompiledQuery::XQuery(q) => match self.registry.query(&q, &Freshness::any()) {
                 Ok(out) => {
-                    let items = out
-                        .results
-                        .iter()
-                        .map(|item| match item.as_node() {
-                            Some(n) => match n.materialize_element() {
-                                Some(e) => e.to_compact_string(),
-                                None => n.string_value(),
-                            },
-                            None => item.string_value(),
-                        })
-                        .collect();
+                    let items = out.results.iter().map(wsda_xq::Item::serialize).collect();
                     let complete =
                         matches!(out.completeness, wsda_registry::Completeness::Complete);
                     (items, out.stats.plan, complete)
@@ -1614,7 +1604,6 @@ impl PeerThread {
 
     /// Send a `Results` frame; with recovery on it is tracked for
     /// retransmission until acked.
-    #[allow(clippy::too_many_arguments)]
     fn reply(
         &self,
         rt: &mut PeerRt,
@@ -1624,6 +1613,39 @@ impl PeerThread {
         last: bool,
         cached: bool,
     ) {
+        let frame = self.results_frame(rt, to, transaction, items, last, cached);
+        self.transport.send_frame(self.id, to, frame);
+    }
+
+    /// Send a transaction's final `Results` frame and unwind it. The frame
+    /// is numbered and encoded first, the answer is installed in the
+    /// result cache next, and only then does the frame leave: whoever
+    /// receives `last` finds the cache already populated.
+    fn reply_last(
+        &self,
+        rt: &mut PeerRt,
+        clock: &SystemClock,
+        to: NodeId,
+        transaction: TransactionId,
+        items: Vec<String>,
+        cached: bool,
+    ) {
+        let frame = self.results_frame(rt, to, transaction, items, true, cached);
+        self.finish_txn(rt, clock, transaction);
+        self.transport.send_frame(self.id, to, frame);
+    }
+
+    /// Number and encode a `Results` frame for `to`; with recovery on it is
+    /// tracked for retransmission until acked.
+    fn results_frame(
+        &self,
+        rt: &mut PeerRt,
+        to: NodeId,
+        transaction: TransactionId,
+        items: Vec<String>,
+        last: bool,
+        cached: bool,
+    ) -> Frame {
         let seq = match rt.live.get_mut(&transaction) {
             Some(e) => {
                 let s = e.next_seq;
@@ -1660,7 +1682,7 @@ impl PeerThread {
                 },
             );
         }
-        self.transport.send_frame(self.id, to, frame);
+        frame
     }
 }
 
@@ -1676,13 +1698,7 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..net.topology().len() as u32 {
             let res = net.registry(NodeId(i)).query(&q, &Freshness::any()).unwrap();
-            out.extend(res.results.iter().map(|item| match item.as_node() {
-                Some(n) => match n.materialize_element() {
-                    Some(e) => e.to_compact_string(),
-                    None => n.string_value(),
-                },
-                None => item.string_value(),
-            }));
+            out.extend(res.results.iter().map(wsda_xq::Item::serialize));
         }
         out.sort();
         out
@@ -1716,13 +1732,7 @@ mod tests {
             .unwrap()
             .results
             .iter()
-            .map(|item| match item.as_node() {
-                Some(n) => match n.materialize_element() {
-                    Some(e) => e.to_compact_string(),
-                    None => n.string_value(),
-                },
-                None => item.string_value(),
-            })
+            .map(wsda_xq::Item::serialize)
             .collect();
         let mut got = net.query(NodeId(0), QUERY, Some(0), Duration::from_secs(10));
         got.sort();

@@ -16,7 +16,7 @@ use wsda_pdp::{ResponseMode, Scope};
 use wsda_registry::{Freshness, HyperRegistry, PublishRequest};
 use wsda_updf::{LiveNetwork, P2pConfig, RecoveryConfig, SimNetwork, Topology};
 use wsda_xml::parse_fragment;
-use wsda_xq::Query;
+use wsda_xq::{Item, Query};
 
 const QUERY: &str = r#"//service[load < 0.5]/owner"#;
 
@@ -31,19 +31,9 @@ fn fresh_root(tag: &str) -> PathBuf {
     d
 }
 
-fn materialize(item: &wsda_xq::Item) -> String {
-    match item.as_node() {
-        Some(n) => match n.materialize_element() {
-            Some(e) => e.to_compact_string(),
-            None => n.string_value(),
-        },
-        None => item.string_value(),
-    }
-}
-
 fn local_results(registry: &HyperRegistry, query: &str) -> Vec<String> {
     let q = Query::parse(query).unwrap();
-    registry.query(&q, &Freshness::any()).unwrap().results.iter().map(materialize).collect()
+    registry.query(&q, &Freshness::any()).unwrap().results.iter().map(Item::serialize).collect()
 }
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {

@@ -7,7 +7,7 @@ use wsda_net::NodeId;
 use wsda_pdp::{ResponseMode, Scope};
 use wsda_registry::Freshness;
 use wsda_updf::{P2pConfig, SimNetwork, TimeoutMode, Topology};
-use wsda_xq::Query;
+use wsda_xq::{Item, Query};
 
 const QUERY: &str = r#"//service[load < 0.5]/owner"#;
 
@@ -21,13 +21,7 @@ fn ground_truth(net: &SimNetwork, query: &str) -> Vec<String> {
     let mut out = Vec::new();
     for i in 0..net.topology().len() as u32 {
         let res = net.registry(NodeId(i)).query(&q, &Freshness::any()).unwrap();
-        out.extend(res.results.iter().map(|item| match item.as_node() {
-            Some(n) => match n.materialize_element() {
-                Some(e) => e.to_compact_string(),
-                None => n.string_value(),
-            },
-            None => item.string_value(),
-        }));
+        out.extend(res.results.iter().map(Item::serialize));
     }
     out.sort();
     out

@@ -41,7 +41,7 @@ pub mod path;
 pub mod writer;
 
 pub use error::{XmlError, XmlResult};
-pub use name::QName;
+pub use name::{name_matches, QName};
 pub use node::{Attribute, Document, Element, XmlNode};
 pub use parser::{parse, parse_fragment};
 pub use writer::{Writer, WriterConfig};

@@ -64,6 +64,20 @@ impl QName {
     }
 }
 
+/// [`QName::matches`] on a lexical name, without splitting it into a
+/// `QName`: `*` matches anything, `p:*` matches any name whose prefix (the
+/// part before the first colon) is `p`, and any other pattern matches only
+/// its own lexical form.
+pub fn name_matches(name: &str, pattern: &str) -> bool {
+    if pattern == "*" {
+        return true;
+    }
+    match pattern.strip_suffix(":*") {
+        Some(prefix) => name.split_once(':').is_some_and(|(p, _)| p == prefix),
+        None => name == pattern,
+    }
+}
+
 /// Is `c` allowed as the first character of an XML name?
 pub(crate) fn is_name_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
@@ -144,6 +158,35 @@ mod tests {
         assert!(q.matches("service"));
         assert!(!q.matches("tns:service"));
         assert!(!q.matches("tns:*"));
+    }
+
+    #[test]
+    fn name_matches_agrees_with_qname_matches() {
+        let names = ["service", "tns:service", "tns:other", "a:b:c", ":x", "x:", "*", "*:l"];
+        let patterns = [
+            "*",
+            "service",
+            "tns:service",
+            "tns:*",
+            "other:*",
+            "a:*",
+            "a:b:*",
+            "a:b:c",
+            ":*",
+            "*:l",
+            "*:*",
+            "x:*",
+            "",
+        ];
+        for name in names {
+            for pattern in patterns {
+                assert_eq!(
+                    name_matches(name, pattern),
+                    QName::parse(name).matches(pattern),
+                    "{name} against {pattern}"
+                );
+            }
+        }
     }
 
     #[test]

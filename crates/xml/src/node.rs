@@ -7,7 +7,7 @@
 //! top-down, so child/descendant/attribute axes suffice and tuples stay
 //! `Send + Sync` for rayon-parallel scans for free.
 
-use crate::name::QName;
+use crate::name::{name_matches, QName};
 use crate::writer::{Writer, WriterConfig};
 use std::fmt;
 
@@ -192,7 +192,7 @@ impl Element {
     /// `*`, `p:*`, or an exact lexical name).
     pub fn children_named<'a>(&'a self, pattern: &str) -> impl Iterator<Item = &'a Element> + 'a {
         let pattern = pattern.to_owned();
-        self.child_elements().filter(move |e| e.qname().matches(&pattern))
+        self.child_elements().filter(move |e| name_matches(e.name(), &pattern))
     }
 
     /// The first child element matching `pattern`.
@@ -212,7 +212,7 @@ impl Element {
         pattern: &str,
     ) -> impl Iterator<Item = &'a Element> + 'a {
         let pattern = pattern.to_owned();
-        self.descendants().filter(move |e| e.qname().matches(&pattern))
+        self.descendants().filter(move |e| name_matches(e.name(), &pattern))
     }
 
     /// The concatenated text of this element and all its descendants, in

@@ -13,9 +13,10 @@ use crate::ast::*;
 use crate::error::{XqError, XqResult};
 use crate::functions;
 use crate::value::{document_order_dedup, effective_boolean, Item, NodeKind, NodeRef, Sequence};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wsda_xml::{Element, XmlNode};
+use wsda_xml::{name_matches, Element, XmlNode};
 
 /// Documents constructed at runtime receive ordinals above this base so they
 /// sort after any realistic input tuple set in document order.
@@ -184,8 +185,9 @@ fn eval_inner(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
         }
         Expr::Path { start, steps } => eval_path(start, steps, ctx),
         Expr::Filter { base, predicates } => {
-            let seq = eval(base, ctx)?;
-            apply_predicates_to_sequence(seq, predicates, ctx)
+            let mut seq = eval(base, ctx)?;
+            apply_predicates(&mut seq, 0, predicates, ctx)?;
+            Ok(seq)
         }
         Expr::Binary { op, lhs, rhs } => eval_binary(*op, lhs, rhs, ctx),
         Expr::Neg(e) => {
@@ -288,28 +290,39 @@ fn eval_inner(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
 
 // ==== paths ==============================================================
 
+/// Which nodes a path step runs from, for each of its input nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// The input node itself.
+    Node,
+    /// `//` opening a path: the input node, whatever its kind, then its
+    /// descendant elements in document order.
+    RootDescendants,
+    /// `//` mid-path (`descendant-or-self::node()`): the input node if it
+    /// is an element, then its descendant elements in document order.
+    Descendants,
+}
+
 fn eval_path(start: &PathStart, steps: &[Step], ctx: &mut DynamicContext) -> XqResult<Sequence> {
-    let mut current: Sequence = match start {
-        PathStart::Root => ctx.roots.clone(),
-        PathStart::RootDescendant => {
-            // `//a` == `/descendant-or-self::node()/child::a`
-            let mut seq = Sequence::new();
-            for item in ctx.roots.clone() {
-                let node = expect_node(&item)?;
-                seq.push(Item::Node(node.clone()));
-                seq.extend(node.descendant_elements().into_iter().map(Item::Node));
-            }
-            seq
+    let mut current = match start {
+        PathStart::Root => {
+            let roots = ctx.roots.clone();
+            apply_steps(&roots, Origin::Node, steps, ctx)?
         }
-        PathStart::Relative => match ctx.context_item.clone() {
-            Some(item) => vec![item],
-            None => return Err(XqError::MissingContextItem),
-        },
-        PathStart::Expr(e) => eval(e, ctx)?,
+        // `//a` == `/descendant-or-self::node()/child::a`
+        PathStart::RootDescendant => {
+            let roots = ctx.roots.clone();
+            apply_steps(&roots, Origin::RootDescendants, steps, ctx)?
+        }
+        PathStart::Relative => {
+            let item = ctx.context_item.clone().ok_or(XqError::MissingContextItem)?;
+            apply_steps(std::slice::from_ref(&item), Origin::Node, steps, ctx)?
+        }
+        PathStart::Expr(e) => {
+            let input = eval(e, ctx)?;
+            apply_steps(&input, Origin::Node, steps, ctx)?
+        }
     };
-    for step in steps {
-        current = apply_step(&current, step, ctx)?;
-    }
     if steps
         .iter()
         .any(|s| matches!(s.axis, Axis::DescendantOrSelf | Axis::Descendant | Axis::Parent))
@@ -320,122 +333,140 @@ fn eval_path(start: &PathStart, steps: &[Step], ctx: &mut DynamicContext) -> XqR
     Ok(current)
 }
 
+/// Run `steps` from `input`. A `//` is never materialized: the step after
+/// it (the parser always puts one there) walks each input's descendants in
+/// place, and only the nodes that step selects become references.
+fn apply_steps(
+    input: &[Item],
+    mut origin: Origin,
+    steps: &[Step],
+    ctx: &mut DynamicContext,
+) -> XqResult<Sequence> {
+    let mut current: Option<Sequence> = None;
+    let mut rest = steps.iter().peekable();
+    while let Some(step) = rest.next() {
+        let descend = step.axis == Axis::DescendantOrSelf
+            && matches!(step.test, NodeTest::AnyNode)
+            && step.predicates.is_empty();
+        if descend && origin == Origin::Node && rest.peek().is_some() {
+            origin = Origin::Descendants;
+            continue;
+        }
+        current = Some(apply_step(current.as_deref().unwrap_or(input), origin, step, ctx)?);
+        origin = Origin::Node;
+    }
+    Ok(current.unwrap_or_else(|| input.to_vec()))
+}
+
 fn expect_node(item: &Item) -> XqResult<&NodeRef> {
     item.as_node().ok_or_else(|| XqError::TypeError("path step applied to an atomic value".into()))
 }
 
-fn apply_step(input: &[Item], step: &Step, ctx: &mut DynamicContext) -> XqResult<Sequence> {
+fn apply_step(
+    input: &[Item],
+    origin: Origin,
+    step: &Step,
+    ctx: &mut DynamicContext,
+) -> XqResult<Sequence> {
     let mut out = Sequence::new();
+    // Positional predicates count within one context node's selection.
+    let mut step_from = |node: &NodeRef| -> XqResult<()> {
+        let selected = out.len();
+        select(node, step, &mut out);
+        apply_predicates(&mut out, selected, &step.predicates, ctx)
+    };
     for item in input {
         let node = expect_node(item)?;
-        let candidates: Vec<NodeRef> = match step.axis {
-            Axis::Child => match &step.test {
-                NodeTest::Name(pattern) => node
-                    .child_elements()
-                    .into_iter()
-                    .filter(|c| c.element().qname().matches(pattern))
-                    .collect(),
-                NodeTest::Text => node.text_children(),
-                NodeTest::AnyNode => {
-                    let mut v = node.child_elements();
-                    v.extend(node.text_children());
-                    v
+        match origin {
+            Origin::Node => step_from(node)?,
+            Origin::RootDescendants | Origin::Descendants => {
+                if origin == Origin::RootDescendants || node.is_element() {
+                    step_from(node)?;
                 }
-            },
-            Axis::Descendant | Axis::DescendantOrSelf => {
-                let mut v = Vec::new();
-                if matches!(step.axis, Axis::DescendantOrSelf) && node.is_element() {
-                    v.push(node.clone());
-                }
-                v.extend(node.descendant_elements());
-                match &step.test {
-                    NodeTest::Name(pattern) => v.retain(|c| c.element().qname().matches(pattern)),
-                    NodeTest::AnyNode => {}
-                    NodeTest::Text => {
-                        // descendant text nodes
-                        let mut texts = Vec::new();
-                        for e in &v {
-                            texts.extend(e.text_children());
-                        }
-                        v = texts;
-                    }
-                }
-                v
+                node.try_for_each_descendant(|n, _| step_from(n))?;
             }
-            Axis::SelfAxis => match &step.test {
-                NodeTest::Name(pattern) => {
-                    if node.is_element() && node.element().qname().matches(pattern) {
-                        vec![node.clone()]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                NodeTest::AnyNode => vec![node.clone()],
-                NodeTest::Text => {
-                    if matches!(node.kind(), NodeKind::Text(_)) {
-                        vec![node.clone()]
-                    } else {
-                        Vec::new()
-                    }
-                }
-            },
-            Axis::Parent => node.parent().into_iter().collect(),
-            Axis::Attribute => match &step.test {
-                NodeTest::Name(pattern) if pattern == "*" => node.attributes(),
-                NodeTest::Name(pattern) if pattern.ends_with(":*") => node
-                    .attributes()
-                    .into_iter()
-                    .filter(|a| wsda_xml::QName::parse(&a.name()).matches(pattern))
-                    .collect(),
-                NodeTest::Name(pattern) => node.attribute(pattern).into_iter().collect(),
-                _ => Vec::new(),
-            },
-        };
-        let filtered = apply_predicates(candidates, &step.predicates, ctx)?;
-        out.extend(filtered.into_iter().map(Item::Node));
+        }
     }
     Ok(out)
 }
 
-/// Apply predicates to one step's candidate list for a single source node,
-/// with XPath positional semantics (`position()`, `last()`, numeric
-/// predicates).
-fn apply_predicates(
-    candidates: Vec<NodeRef>,
-    predicates: &[Expr],
-    ctx: &mut DynamicContext,
-) -> XqResult<Vec<NodeRef>> {
-    let mut current = candidates;
-    for pred in predicates {
-        let size = current.len();
-        let mut kept = Vec::with_capacity(current.len());
-        for (i, cand) in current.into_iter().enumerate() {
-            if predicate_holds(Item::Node(cand.clone()), i + 1, size, pred, ctx)? {
-                kept.push(cand);
+/// Append the nodes `step`'s axis and node test select from `node`, in the
+/// order its positional predicates count. Names are tested on the borrowed
+/// element, so only selected nodes become references.
+fn select(node: &NodeRef, step: &Step, out: &mut Sequence) {
+    let mut emit = |n: NodeRef| out.push(Item::Node(n));
+    match (step.axis, &step.test) {
+        (Axis::Child, NodeTest::Name(pattern)) => {
+            node.emit_child_elements(|e| name_matches(e.name(), pattern), emit)
+        }
+        (Axis::Child, NodeTest::Text) => node.emit_text_children(emit),
+        (Axis::Child, NodeTest::AnyNode) => {
+            node.emit_child_elements(|_| true, &mut emit);
+            node.emit_text_children(emit);
+        }
+        (Axis::Descendant | Axis::DescendantOrSelf, test) => {
+            let mut keep = |n: &NodeRef, e: &Element| match test {
+                NodeTest::Name(pattern) => {
+                    if name_matches(e.name(), pattern) {
+                        emit(n.clone());
+                    }
+                }
+                NodeTest::AnyNode => emit(n.clone()),
+                // Text children of the visited elements.
+                NodeTest::Text => n.emit_text_children(&mut emit),
+            };
+            if step.axis == Axis::DescendantOrSelf && node.is_element() {
+                keep(node, node.element());
+            }
+            let _: Result<(), Infallible> = node.try_for_each_descendant(|n, e| {
+                keep(n, e);
+                Ok(())
+            });
+        }
+        (Axis::SelfAxis, NodeTest::Name(pattern)) => {
+            if node.is_element() && name_matches(node.element().name(), pattern) {
+                emit(node.clone());
             }
         }
-        current = kept;
+        (Axis::SelfAxis, NodeTest::AnyNode) => emit(node.clone()),
+        (Axis::SelfAxis, NodeTest::Text) => {
+            if matches!(node.kind(), NodeKind::Text(_)) {
+                emit(node.clone());
+            }
+        }
+        (Axis::Parent, _) => {
+            if let Some(parent) = node.parent() {
+                emit(parent);
+            }
+        }
+        (Axis::Attribute, NodeTest::Name(pattern)) => {
+            node.emit_attributes(|name| name_matches(name, pattern), emit)
+        }
+        (Axis::Attribute, _) => {}
     }
-    Ok(current)
 }
 
-fn apply_predicates_to_sequence(
-    seq: Sequence,
+/// Keep the items of `seq[from..]` that pass each predicate in turn, with
+/// XPath positional semantics (`position()`, `last()`, numeric predicates)
+/// counted within that tail.
+fn apply_predicates(
+    seq: &mut Sequence,
+    from: usize,
     predicates: &[Expr],
     ctx: &mut DynamicContext,
-) -> XqResult<Sequence> {
-    let mut current = seq;
+) -> XqResult<()> {
     for pred in predicates {
-        let size = current.len();
-        let mut kept = Vec::with_capacity(current.len());
-        for (i, item) in current.into_iter().enumerate() {
-            if predicate_holds(item.clone(), i + 1, size, pred, ctx)? {
-                kept.push(item);
+        let size = seq.len() - from;
+        let mut kept = from;
+        for i in from..seq.len() {
+            if predicate_holds(seq[i].clone(), i - from + 1, size, pred, ctx)? {
+                seq.swap(kept, i);
+                kept += 1;
             }
         }
-        current = kept;
+        seq.truncate(kept);
     }
-    Ok(current)
+    Ok(())
 }
 
 fn predicate_holds(
@@ -483,14 +514,15 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &mut DynamicContext) -> X
             if l.iter().chain(r.iter()).any(|i| !i.is_node()) {
                 return Err(XqError::TypeError("set operation on non-node items".into()));
             }
-            let right_keys: std::collections::HashSet<_> =
-                r.iter().filter_map(|i| i.as_node()).map(|n| n.order_key()).collect();
+            let mut right: Vec<&NodeRef> = r.iter().filter_map(Item::as_node).collect();
+            right.sort_by(|a, b| a.cmp_document_order(b));
             let keep_present = matches!(op, BinOp::Intersect);
             let mut out: Sequence = l
                 .into_iter()
                 .filter(|i| {
-                    let key = i.as_node().expect("checked node").order_key();
-                    right_keys.contains(&key) == keep_present
+                    let node = i.as_node().expect("checked node");
+                    let present = right.binary_search_by(|r| r.cmp_document_order(node)).is_ok();
+                    present == keep_present
                 })
                 .collect();
             document_order_dedup(&mut out);
@@ -566,7 +598,7 @@ fn general_compare(op: BinOp, a: &Item, b: &Item) -> bool {
             } else if matches!(a, Item::Number(_)) || matches!(b, Item::Number(_)) {
                 a.number_value() == b.number_value()
             } else {
-                a.string_value() == b.string_value()
+                a.str_value() == b.str_value()
             };
             if matches!(op, GenEq) {
                 eq
@@ -607,7 +639,7 @@ fn value_compare(op: BinOp, a: &Item, b: &Item) -> bool {
             _ => unreachable!(),
         };
     }
-    let (x, y) = (a.string_value(), b.string_value());
+    let (x, y) = (a.str_value(), b.str_value());
     match op {
         ValEq => x == y,
         ValNe => x != y,
@@ -930,8 +962,8 @@ fn append_content(element: &mut Element, seq: &[Item]) -> XqResult<()> {
                     flush(element, &mut atom_buf);
                     element.push(n.element().clone());
                 }
-                NodeKind::Attribute(name) => {
-                    element.set_attr(name.clone(), n.string_value());
+                NodeKind::Attribute(_) => {
+                    element.set_attr(n.name(), n.string_value());
                 }
                 NodeKind::Text(_) => {
                     flush(element, &mut atom_buf);
@@ -948,7 +980,14 @@ fn append_content(element: &mut Element, seq: &[Item]) -> XqResult<()> {
 /// Atomize a sequence and join with single spaces (attribute-value and
 /// computed-attribute semantics).
 pub(crate) fn atomize_joined(seq: &[Item]) -> String {
-    seq.iter().map(|i| i.string_value()).collect::<Vec<_>>().join(" ")
+    let mut out = String::new();
+    for (i, item) in seq.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(&item.str_value());
+    }
+    out
 }
 
 pub(crate) fn singleton_number(seq: Sequence, what: &str) -> XqResult<Option<f64>> {

@@ -8,6 +8,7 @@ use crate::error::{XqError, XqResult};
 use crate::eval::{eval, DynamicContext};
 use crate::value::{document_order_dedup, effective_boolean, format_number, Item, Sequence};
 use crate::Expr;
+use std::borrow::Cow;
 
 /// Names of every builtin this engine provides (used by docs and by the
 /// registry's capability advertisement).
@@ -132,19 +133,19 @@ pub fn call(name: &str, args: &[Expr], ctx: &mut DynamicContext) -> XqResult<Seq
                     bad_arg!("concat", "argument is a sequence of {} items", v.len());
                 }
                 if let Some(i) = v.first() {
-                    out.push_str(&i.string_value());
+                    out.push_str(&i.str_value());
                 }
             }
             Ok(vec![Item::Str(out)])
         }
-        "contains" => str2(name, args, ctx, |a, b| Item::Bool(a.contains(&b))),
-        "starts-with" => str2(name, args, ctx, |a, b| Item::Bool(a.starts_with(&b))),
-        "ends-with" => str2(name, args, ctx, |a, b| Item::Bool(a.ends_with(&b))),
+        "contains" => str2(name, args, ctx, |a, b| Item::Bool(a.contains(b))),
+        "starts-with" => str2(name, args, ctx, |a, b| Item::Bool(a.starts_with(b))),
+        "ends-with" => str2(name, args, ctx, |a, b| Item::Bool(a.ends_with(b))),
         "substring-before" => str2(name, args, ctx, |a, b| {
-            Item::Str(a.find(&b).map(|i| a[..i].to_owned()).unwrap_or_default())
+            Item::Str(a.find(b).map(|i| a[..i].to_owned()).unwrap_or_default())
         }),
         "substring-after" => str2(name, args, ctx, |a, b| {
-            Item::Str(a.find(&b).map(|i| a[i + b.len()..].to_owned()).unwrap_or_default())
+            Item::Str(a.find(b).map(|i| a[i + b.len()..].to_owned()).unwrap_or_default())
         }),
         "substring" => {
             check_arity(name, args, 2..=3)?;
@@ -157,13 +158,13 @@ pub fn call(name: &str, args: &[Expr], ctx: &mut DynamicContext) -> XqResult<Seq
         "string-length" => {
             check_arity(name, args, 0..=1)?;
             let v = arg_or_context(args, ctx)?;
-            let s = v.first().map(|i| i.string_value()).unwrap_or_default();
+            let s = v.first().map(Item::str_value).unwrap_or_default();
             Ok(vec![Item::Number(s.chars().count() as f64)])
         }
         "normalize-space" => {
             check_arity(name, args, 0..=1)?;
             let v = arg_or_context(args, ctx)?;
-            let s = v.first().map(|i| i.string_value()).unwrap_or_default();
+            let s = v.first().map(Item::str_value).unwrap_or_default();
             Ok(vec![Item::Str(s.split_whitespace().collect::<Vec<_>>().join(" "))])
         }
         "lower-case" => str1(name, args, ctx, |s| Item::Str(s.to_lowercase())),
@@ -368,7 +369,7 @@ pub fn call(name: &str, args: &[Expr], ctx: &mut DynamicContext) -> XqResult<Seq
             };
             Ok(v.iter()
                 .enumerate()
-                .filter(|(_, i)| i.string_value() == needle)
+                .filter(|(_, i)| i.str_value() == needle)
                 .map(|(idx, _)| Item::Number((idx + 1) as f64))
                 .collect())
         }
@@ -380,11 +381,11 @@ pub fn call(name: &str, args: &[Expr], ctx: &mut DynamicContext) -> XqResult<Seq
             let n = match v.first() {
                 None => String::new(),
                 Some(Item::Node(node)) => {
-                    let full = node.name();
+                    let full = node.name_str();
                     if name == "local-name" {
-                        wsda_xml::QName::parse(&full).local
+                        full.split_once(':').map_or(full, |(_, local)| local).to_owned()
                     } else {
-                        full
+                        full.to_owned()
                     }
                 }
                 Some(_) => bad_arg!("name", "argument must be a node"),
@@ -438,16 +439,25 @@ fn one_arg(name: &str, args: &[Expr], ctx: &mut DynamicContext) -> XqResult<Sequ
     eval(&args[0], ctx)
 }
 
-fn string_arg(fn_name: &str, arg: &Expr, ctx: &mut DynamicContext) -> XqResult<String> {
+/// Evaluate a string argument, which must be empty or a single item.
+fn string_arg_items(fn_name: &str, arg: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
     let v = eval(arg, ctx)?;
     match v.len() {
-        0 => Ok(String::new()),
-        1 => Ok(v[0].string_value()),
+        0 | 1 => Ok(v),
         n => Err(XqError::BadArgument {
             function: "string argument",
             message: format!("{fn_name}: expected a singleton, got {n} items"),
         }),
     }
+}
+
+/// The string a [`string_arg_items`] result stands for, borrowed from it.
+fn arg_str(items: &[Item]) -> Cow<'_, str> {
+    items.first().map(Item::str_value).unwrap_or_default()
+}
+
+fn string_arg(fn_name: &str, arg: &Expr, ctx: &mut DynamicContext) -> XqResult<String> {
+    Ok(arg_str(&string_arg_items(fn_name, arg, ctx)?).into_owned())
 }
 
 fn number_arg(fn_name: &str, arg: &Expr, ctx: &mut DynamicContext) -> XqResult<f64> {
@@ -465,23 +475,23 @@ fn str1(
     name: &str,
     args: &[Expr],
     ctx: &mut DynamicContext,
-    f: impl Fn(String) -> Item,
+    f: impl Fn(&str) -> Item,
 ) -> XqResult<Sequence> {
     check_arity(name, args, 1..=1)?;
-    let s = string_arg(name, &args[0], ctx)?;
-    Ok(vec![f(s)])
+    let s = string_arg_items(name, &args[0], ctx)?;
+    Ok(vec![f(&arg_str(&s))])
 }
 
 fn str2(
     name: &str,
     args: &[Expr],
     ctx: &mut DynamicContext,
-    f: impl Fn(String, String) -> Item,
+    f: impl Fn(&str, &str) -> Item,
 ) -> XqResult<Sequence> {
     check_arity(name, args, 2..=2)?;
-    let a = string_arg(name, &args[0], ctx)?;
-    let b = string_arg(name, &args[1], ctx)?;
-    Ok(vec![f(a, b)])
+    let a = string_arg_items(name, &args[0], ctx)?;
+    let b = string_arg_items(name, &args[1], ctx)?;
+    Ok(vec![f(&arg_str(&a), &arg_str(&b))])
 }
 
 fn num1(
