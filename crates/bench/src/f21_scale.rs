@@ -8,10 +8,10 @@
 //!   mean build only runs the corpus *kind* meta pass per node,
 //! * **idle memory** — resident-set growth per node after build, before
 //!   any query (the <1 KB/node budget),
-//! * **query latency** — one radius-scoped flood over the whole network,
-//!   with the batched-parallel evaluation loop on vs off (the sequential
-//!   loop is the determinism baseline — both runs must return identical
-//!   results and metrics, which this bench asserts),
+//! * **query latency** — one radius-scoped flood over the whole network
+//!   on a freshly built network, which must replay the untimed warmup
+//!   network's flood exactly (results, metrics, virtual finish time —
+//!   asserted),
 //! * **bookkeeping bounds** — the timer slab's high-water mark vs total
 //!   timer events, showing slot recycling.
 //!
@@ -63,9 +63,12 @@ fn scope() -> Scope {
     }
 }
 
-fn build(n: usize, parallel: bool) -> SimNetwork {
-    let config = P2pConfig { parallel_eval: parallel, ..P2pConfig::for_scale() };
-    SimNetwork::build(Topology::random_connected(n, 3.0, 42), NetworkModel::constant(5), config)
+fn build(n: usize) -> SimNetwork {
+    SimNetwork::build(
+        Topology::random_connected(n, 3.0, 42),
+        NetworkModel::constant(5),
+        P2pConfig::for_scale(),
+    )
 }
 
 fn timed_query(net: &mut SimNetwork) -> (QueryRun, f64) {
@@ -76,8 +79,7 @@ fn timed_query(net: &mut SimNetwork) -> (QueryRun, f64) {
 
 /// Median of three floods on the same network — virtual time makes repeat
 /// runs return identical results, so the median discards the scheduler and
-/// allocator noise that on small shared hosts otherwise dwarfs the
-/// parallel-vs-sequential difference.
+/// allocator noise of small shared hosts.
 fn median_of_three(net: &mut SimNetwork) -> (QueryRun, f64) {
     let (run, ms_a) = timed_query(net);
     let mut times = [ms_a, 0.0, 0.0];
@@ -94,8 +96,7 @@ struct Case {
     n: usize,
     build_ms: f64,
     idle_bytes_per_node: f64,
-    par_ms: f64,
-    seq_ms: f64,
+    flood_ms: f64,
     run: QueryRun,
     timers_scheduled: u64,
     timers_high_water: usize,
@@ -106,44 +107,29 @@ fn case(n: usize) -> Case {
     // registry has materialized yet when the RSS delta is read).
     let rss_before = rss_kb();
     let started = Instant::now();
-    let mut warm = build(n, true);
+    let mut warm = build(n);
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
     let idle_bytes_per_node =
         (rss_kb().saturating_sub(rss_before) as f64) * 1024.0 / n.max(1) as f64;
 
     // Untimed warmup flood: materializing 10^4+ lazy registries faults in
     // fresh heap pages, and whichever timed run went first would otherwise
-    // pay that once-per-process cost — the comparison below must measure
-    // the event loop, not the allocator's cold start.
+    // pay that once-per-process cost — the timed floods below must
+    // measure the event loop, not the allocator's cold start.
     let (run_warm, _) = timed_query(&mut warm);
     drop(warm);
 
-    let mut net = build(n, true);
-    let (run, par_ms) = median_of_three(&mut net);
+    let mut net = build(n);
+    let (run, flood_ms) = median_of_three(&mut net);
     let timers_scheduled = net.timers_scheduled();
     let timers_high_water = net.timers_high_water();
     assert_eq!(net.timers_live(), 0, "{n}: fired timers must be retired from the slab");
-    assert_eq!(run.results, run_warm.results, "{n}: rebuilt network diverges from first build");
-    drop(net);
+    // An identically built network must replay the warmup flood exactly.
+    assert_eq!(run.results, run_warm.results, "{n}: rebuilt network's results diverge");
+    assert_eq!(run.metrics, run_warm.metrics, "{n}: rebuilt network's metrics diverge");
+    assert_eq!(run.finished_at, run_warm.finished_at, "{n}: virtual finish time diverges");
 
-    // The sequential loop on an identically-built network: the
-    // determinism baseline, and the denominator of the speedup column.
-    let mut net_seq = build(n, false);
-    let (run_seq, seq_ms) = median_of_three(&mut net_seq);
-    assert_eq!(run.results, run_seq.results, "{n}: parallel results diverge from sequential");
-    assert_eq!(run.metrics, run_seq.metrics, "{n}: parallel metrics diverge from sequential");
-    assert_eq!(run.finished_at, run_seq.finished_at, "{n}: virtual finish time diverges");
-
-    Case {
-        n,
-        build_ms,
-        idle_bytes_per_node,
-        par_ms,
-        seq_ms,
-        run,
-        timers_scheduled,
-        timers_high_water,
-    }
+    Case { n, build_ms, idle_bytes_per_node, flood_ms, run, timers_scheduled, timers_high_water }
 }
 
 /// Run F21.
@@ -151,17 +137,7 @@ pub fn run(quick: bool) -> Report {
     let mut report = Report::new(
         "f21",
         "Simulator scale: build, idle memory, radius-scoped flood at 10^4-10^5 nodes",
-        &[
-            "nodes",
-            "build ms",
-            "idle B/node",
-            "flood ms (par)",
-            "flood ms (seq)",
-            "speedup",
-            "evaluated",
-            "messages",
-            "timer hiwater",
-        ],
+        &["nodes", "build ms", "idle B/node", "flood ms", "evaluated", "messages", "timer hiwater"],
     );
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 50_000, 100_000] };
     for &n in sizes {
@@ -177,9 +153,9 @@ pub fn run(quick: bool) -> Report {
         // the line above that; the JSON rows carry the exact numbers.
         let budget_ms = if n <= 50_000 { 10_000.0 } else { 30_000.0 };
         assert!(
-            c.par_ms < budget_ms,
+            c.flood_ms < budget_ms,
             "{n} nodes: radius-scoped flood took {:.0} ms (budget {:.0} ms)",
-            c.par_ms,
+            c.flood_ms,
             budget_ms
         );
         if rss_kb() > 0 {
@@ -208,9 +184,7 @@ pub fn run(quick: bool) -> Report {
                 c.n.to_string(),
                 fmt1(c.build_ms),
                 fmt1(c.idle_bytes_per_node),
-                fmt1(c.par_ms),
-                fmt1(c.seq_ms),
-                format!("{:.2}x", c.seq_ms / c.par_ms.max(0.001)),
+                fmt1(c.flood_ms),
                 c.run.metrics.nodes_evaluated.to_string(),
                 c.run.metrics.messages_total().to_string(),
                 c.timers_high_water.to_string(),
@@ -219,9 +193,7 @@ pub fn run(quick: bool) -> Report {
                 "nodes": c.n,
                 "build_ms": c.build_ms,
                 "idle_bytes_per_node": c.idle_bytes_per_node,
-                "flood_ms_parallel": c.par_ms,
-                "flood_ms_sequential": c.seq_ms,
-                "speedup": c.seq_ms / c.par_ms.max(0.001),
+                "flood_ms": c.flood_ms,
                 "nodes_evaluated": c.run.metrics.nodes_evaluated,
                 "results_delivered": c.run.metrics.results_delivered,
                 "messages_total": c.run.metrics.messages_total(),
@@ -236,16 +208,14 @@ pub fn run(quick: bool) -> Report {
     report.note(format!(
         "for_scale() preset: lazy lean registries (materialized on first evaluation), \
          interned endpoints, no per-node gauges, no routing index. Flood: {QUERY:?} at \
-         radius {RADIUS} from n0 over a degree-3 connected random graph. Parallel and \
-         sequential runs are asserted bit-for-bit identical (results, metrics, virtual \
-         finish time); idle B/node is VmRSS growth across build, before any registry \
-         materializes. peak_rss_kb is the process high-water mark (VmHWM), cumulative \
-         across cases. Flood times are the median of three repeat runs after an untimed \
-         warmup network; the speedup column tracks host_threads — on single-core hosts \
-         the engine takes the inline loop either way and the column only measures noise. \
-         Only the first (cold) case's idle figure is meaningful in a full run: later \
-         cases build into heap pages the previous case freed, which VmRSS cannot see, \
-         and report ~0.",
+         radius {RADIUS} from n0 over a degree-3 connected random graph. Flood times are \
+         the median of three repeat runs on a network rebuilt after an untimed warmup \
+         network, whose flood it is asserted to replay bit-for-bit (results, metrics, \
+         virtual finish time). idle B/node is VmRSS growth across build, before any \
+         registry materializes. peak_rss_kb is the process high-water mark (VmHWM), \
+         cumulative across cases. Only the first (cold) case's idle figure is \
+         meaningful in a full run: later cases build into heap pages the previous case \
+         freed, which VmRSS cannot see, and report ~0.",
     ));
     let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f21 report");
     match std::fs::write("BENCH_p2_scale.json", doc + "\n") {

@@ -259,22 +259,6 @@ impl<M> Simulator<M> {
         }
     }
 
-    /// Peek at the head of the queue *if it is a timer*, without popping
-    /// or advancing the clock. Returns `(fire_time, node, tag)`.
-    ///
-    /// This is the hook the batched-parallel event loop uses to gather a
-    /// run of same-timestamp timers: peeking consumes no RNG and
-    /// allocates no sequence numbers, so interleaving peeks with pops is
-    /// invisible to determinism.
-    pub fn peek_timer(&self) -> Option<(Time, NodeId, u64)> {
-        match self.queue.peek() {
-            Some(Reverse(Scheduled { at, payload: Payload::Timer { node, tag }, .. })) => {
-                Some((*at, *node, *tag))
-            }
-            _ => None,
-        }
-    }
-
     /// Pending event count.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -457,19 +441,6 @@ mod tests {
         s.next().unwrap();
         assert!(s.send(NodeId(0), NodeId(1), "query", 0).is_some());
         assert_eq!(s.stats().messages_overflowed, 1);
-    }
-
-    #[test]
-    fn peek_timer_sees_only_timers_and_does_not_pop() {
-        let mut s = sim();
-        s.send(NodeId(0), NodeId(1), "m", 0); // arrives at 10
-        s.schedule(NodeId(2), 5, 7); // fires at 5, ahead of the message
-        assert_eq!(s.peek_timer(), Some((Time(5), NodeId(2), 7)));
-        assert_eq!(s.peek_timer(), Some((Time(5), NodeId(2), 7)), "peek is non-destructive");
-        assert_eq!(s.now(), Time(0), "peek does not advance the clock");
-        assert_eq!(s.next(), Some(Delivery::Timer { node: NodeId(2), tag: 7 }));
-        assert_eq!(s.peek_timer(), None, "head is now a message");
-        assert!(s.next().is_some());
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl<T> TimerSlab<T> {
         value
     }
 
-    /// Borrow the payload for `tag` without retiring it.
-    pub fn get(&self, tag: u64) -> Option<&T> {
-        self.slots.get(usize::try_from(tag).ok()?)?.as_ref()
-    }
-
     /// Timers currently outstanding.
     pub fn live(&self) -> usize {
         self.live
@@ -287,7 +282,6 @@ mod tests {
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(s.capacity(), 2, "no growth while a free slot exists");
         assert_eq!(s.scheduled(), 3, "scheduling counter never rewinds");
-        assert_eq!(s.get(b), Some(&"b"));
         assert_eq!(s.take(b), Some("b"));
         assert_eq!(s.take(c), Some("c"));
         assert_eq!(s.live(), 0);

@@ -35,10 +35,10 @@
 //!   pass only runs the cheap corpus *kind* meta pass for routing hints),
 //! * timers live in a [`TimerSlab`] that recycles slots as they fire, so
 //!   timer bookkeeping stays bounded by in-flight timers, not history,
-//! * same-instant local evaluations batch through
-//!   `local_eval_batch` and fan out over threads while preserving
-//!   bit-for-bit determinism with the sequential loop
-//!   ([`P2pConfig::parallel_eval`]).
+//! * one sequential event loop: each local evaluation runs inline on the
+//!   loop thread when its timer pops. Same-instant evaluations on a flood
+//!   come a few at a time between message deliveries, far too few to
+//!   repay a thread fan-out.
 
 use crate::arena::{AliveSet, EndpointTable, TimerSlab};
 use crate::breaker::{CircuitBreaker, ForwardDecision};
@@ -47,11 +47,11 @@ use crate::metrics::QueryMetrics;
 use crate::recovery::{Completeness, RecoveryConfig};
 use crate::selection::{NeighborPolicy, NodeKinds, RoutingIndex};
 use crate::topology::Topology;
-use rayon::prelude::*;
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wsda_net::model::{ChaosPlan, ChurnConfig, FaultPlan, NetworkModel};
 use wsda_net::{Delivery, NodeId, Simulator};
 use wsda_obs::{Gauge, MetricsRegistry, QueryTrace, TraceBuffer, TraceEvent, TraceKind};
@@ -123,13 +123,6 @@ pub struct P2pConfig {
     /// keeps registries purely in memory. Implies eager registry
     /// materialization.
     pub persist_root: Option<PathBuf>,
-    /// Evaluate same-instant local evaluations in parallel across nodes.
-    /// Bit-for-bit deterministic: outcomes are identical to the
-    /// sequential loop (the scheduler-equivalence proptests enforce it).
-    pub parallel_eval: bool,
-    /// Smallest same-instant evaluation batch worth fanning out over
-    /// threads; smaller batches evaluate inline (spawn cost dominates).
-    pub parallel_min_batch: usize,
     /// Per-node gauges and per-node registry stat export: `Some(b)`
     /// forces, `None` enables them automatically for networks of at most
     /// [`PER_NODE_METRICS_AUTO_LIMIT`] nodes. Per-node metric names
@@ -184,8 +177,6 @@ impl Default for P2pConfig {
             inbox_capacity: None,
             trace_capacity: 4096,
             persist_root: None,
-            parallel_eval: true,
-            parallel_min_batch: 128,
             per_node_metrics: None,
             scale_registries: false,
             build_routing_index: true,
@@ -253,20 +244,18 @@ impl RegistryFactory {
 }
 
 /// A node's registry slot: either materialized (eager/durable networks,
-/// or any node that has evaluated a query) or still pending. The
-/// `OnceLock` makes first-use materialization safe from the parallel
-/// evaluation phase.
+/// or any node that has evaluated a query) or still pending.
 struct NodeRegistry {
-    cell: OnceLock<Arc<HyperRegistry>>,
+    cell: OnceCell<Arc<HyperRegistry>>,
 }
 
 impl NodeRegistry {
     fn lazy() -> NodeRegistry {
-        NodeRegistry { cell: OnceLock::new() }
+        NodeRegistry { cell: OnceCell::new() }
     }
 
     fn eager(registry: Arc<HyperRegistry>) -> NodeRegistry {
-        let cell = OnceLock::new();
+        let cell = OnceCell::new();
         let _ = cell.set(registry);
         NodeRegistry { cell }
     }
@@ -521,26 +510,6 @@ enum TimerEvent {
 
 fn parse_endpoint(e: &str) -> Option<NodeId> {
     e.strip_prefix('n').and_then(|s| s.parse().ok()).map(NodeId)
-}
-
-/// A snapshot of one pending local evaluation (collect phase of
-/// `local_eval_batch`).
-struct EvalJob {
-    node: NodeId,
-    txn: TransactionId,
-    query: CompiledQuery,
-    mode: ResponseMode,
-    pipeline: bool,
-    parent: Option<NodeId>,
-    deadline: Time,
-}
-
-/// The pure outcome of one local evaluation (compute phase).
-struct EvalOut {
-    items: Vec<String>,
-    plan: Option<QueryPlan>,
-    degraded: bool,
-    shed: bool,
 }
 
 impl SimNetwork {
@@ -1399,42 +1368,8 @@ impl SimNetwork {
                         let _ = self.timers.take(tag);
                         continue;
                     }
-                    let Some(ev) = self.timers.take(tag) else { continue };
-                    match ev {
-                        TimerEvent::LocalEvalDone { node, txn } => {
-                            // Drain every LocalEvalDone scheduled for this
-                            // same instant into one batch. Pops consume no
-                            // randomness and allocate no sequence numbers,
-                            // and applies only schedule strictly-later (or
-                            // larger-seq same-instant) events, so batching
-                            // is bit-for-bit identical to popping one at a
-                            // time — while the pure compute step can fan
-                            // out over threads (local_eval_batch).
-                            let now = self.sim.now();
-                            let mut batch = vec![(node, txn)];
-                            while let Some((at, _, peek_tag)) = self.sim.peek_timer() {
-                                if at != now
-                                    || !matches!(
-                                        self.timers.get(peek_tag),
-                                        Some(TimerEvent::LocalEvalDone { .. })
-                                    )
-                                {
-                                    break;
-                                }
-                                let Some(Delivery::Timer { tag: next_tag, .. }) = self.sim.next()
-                                else {
-                                    unreachable!("peek_timer saw a timer at the queue head")
-                                };
-                                events += 1;
-                                if let Some(TimerEvent::LocalEvalDone { node, txn }) =
-                                    self.timers.take(next_tag)
-                                {
-                                    batch.push((node, txn));
-                                }
-                            }
-                            self.local_eval_batch(run, batch);
-                        }
-                        other => self.on_timer(run, other),
+                    if let Some(ev) = self.timers.take(tag) {
+                        self.on_timer(run, ev);
                     }
                 }
             }
@@ -1769,12 +1704,7 @@ impl SimNetwork {
 
     fn on_timer(&mut self, run: &mut RunState, ev: TimerEvent) {
         match ev {
-            TimerEvent::LocalEvalDone { node, txn } => {
-                // Reached only when pump's batch drain is bypassed (it
-                // normally intercepts these); a batch of one is the
-                // sequential path.
-                self.local_eval_batch(run, vec![(node, txn)]);
-            }
+            TimerEvent::LocalEvalDone { node, txn } => self.local_eval(run, node, txn),
             TimerEvent::NodeAbort { node, txn } => self.node_abort(run, node, txn),
             TimerEvent::OriginDeadline { txn } => {
                 // The timer always fires eventually (the queue drains);
@@ -1794,103 +1724,36 @@ impl SimNetwork {
         }
     }
 
-    /// Run a batch of same-instant local evaluations in three phases that
-    /// together are bit-for-bit equivalent to evaluating the timers one at
-    /// a time in pop order:
-    ///
-    /// 1. **Collect** (sequential, pop order) — snapshot each live
-    ///    transaction's query/mode/deadline.
-    /// 2. **Compute** (parallel when the batch is large enough) — each
-    ///    node's registry evaluation. This phase is pure per node: it
-    ///    touches only that node's registry (materializing a lazy one
-    ///    through its `OnceLock`), consumes no RNG, allocates no sequence
-    ///    numbers and schedules nothing, so thread interleaving cannot
-    ///    leak into observable state.
-    /// 3. **Apply** (sequential, pop order) — the exact post-evaluation
-    ///    path of the sequential engine: traces, completion bookkeeping,
-    ///    result propagation, scheduling.
-    fn local_eval_batch(&mut self, run: &mut RunState, batch: Vec<(NodeId, TransactionId)>) {
-        let mut jobs: Vec<EvalJob> = Vec::with_capacity(batch.len());
-        for (node, txn) in batch {
-            let Some(info) = self.arena.txns[node.0 as usize].get(&txn) else { continue };
-            if info.aborted {
-                continue;
-            }
-            run.metrics.nodes_evaluated += 1;
-            jobs.push(EvalJob {
-                node,
-                txn,
-                query: info.query.clone(),
-                mode: info.mode.clone(),
-                pipeline: info.scope.pipeline,
-                parent: info.parent,
-                deadline: info.deadline,
-            });
-        }
-        if jobs.is_empty() {
+    /// A node's local evaluation finished: run the query against its
+    /// registry, then stream, buffer or invite the answer per response
+    /// mode and finalize the node if no children are outstanding.
+    fn local_eval(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
+        let node_idx = node.0 as usize;
+        let Some(info) = self.arena.txns[node_idx].get_mut(&txn) else { return };
+        if info.aborted {
             return;
         }
-        let outs: Vec<EvalOut> = {
-            let factory = &self.arena.factory;
-            let registries = &self.arena.registries[..];
-            let origin_ep = self.endpoints.str(run.origin);
-            // On a single-core host the fan-out can only add spawn cost,
-            // never parallelism; fall through to the inline loop (same
-            // outputs by construction — compute_eval is pure and the
-            // chunked collect preserves pop order).
-            if self.config.parallel_eval
-                && rayon::current_num_threads() > 1
-                && jobs.len() >= self.config.parallel_min_batch.max(1)
-            {
-                let chunk = jobs.len().div_ceil(rayon::current_num_threads()).max(1);
-                jobs.par_chunks(chunk)
-                    .map(|part| {
-                        part.iter()
-                            .map(|job| Self::compute_eval(factory, registries, job, origin_ep))
-                            .collect::<Vec<EvalOut>>()
-                    })
-                    .collect::<Vec<EvalOut>, Vec<Vec<EvalOut>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                jobs.iter()
-                    .map(|job| Self::compute_eval(factory, registries, job, origin_ep))
-                    .collect()
-            }
-        };
-        for (job, out) in jobs.into_iter().zip(outs) {
-            self.apply_eval(run, job, out);
-        }
-    }
-
-    /// The pure compute half of a local evaluation. Takes the registry
-    /// slice rather than `&self` so the parallel phase shares nothing
-    /// mutable (and nothing `!Sync`, like the simulator's shed predicate).
-    fn compute_eval(
-        factory: &RegistryFactory,
-        registries: &[NodeRegistry],
-        job: &EvalJob,
-        origin_ep: &str,
-    ) -> EvalOut {
-        let registry = registries[job.node.0 as usize].get(factory, job.node.0);
-        match &job.query {
+        run.metrics.nodes_evaluated += 1;
+        let registry = self.arena.registries[node_idx].get(&self.arena.factory, node.0);
+        // Shed or partial evaluations are not the query's answer; caching
+        // them would replay the degradation for the whole staleness window.
+        let mut answered = true;
+        let mut cheap_plan = false;
+        let items: Vec<String> = match &info.query {
             CompiledQuery::XQuery(q) => {
                 // With the node registry's admission gate enabled, local
                 // evaluation is metered against the transaction's remaining
                 // abort budget: a lapsed hop degrades or sheds (counted)
                 // instead of scanning into a dead answer.
                 let outcome = if registry.config().admission.enabled {
-                    let ctx = AdmissionContext::for_client(origin_ep).with_deadline(job.deadline);
+                    let ctx = AdmissionContext::for_client(self.endpoints.str(run.origin))
+                        .with_deadline(info.deadline);
                     match registry.query_admitted(q, &Freshness::any(), &QueryScope::all(), &ctx) {
                         Ok(Admission::Answered(o)) => Some(o),
                         Ok(Admission::Shed { .. }) => {
-                            return EvalOut {
-                                items: Vec::new(),
-                                plan: None,
-                                degraded: false,
-                                shed: true,
-                            };
+                            run.metrics.local_evals_shed += 1;
+                            answered = false;
+                            None
                         }
                         Err(_) => None,
                     }
@@ -1898,58 +1761,34 @@ impl SimNetwork {
                     registry.query(q, &Freshness::any()).ok()
                 };
                 match outcome {
-                    Some(o) => EvalOut {
-                        plan: Some(o.stats.plan),
-                        degraded: !o.completeness.is_complete(),
-                        shed: false,
-                        items: o.results.iter().map(wsda_xq::Item::serialize).collect(),
-                    },
-                    None => EvalOut { items: Vec::new(), plan: None, degraded: false, shed: false },
+                    Some(o) => {
+                        run.metrics.record_plan(o.stats.plan);
+                        cheap_plan = o.stats.plan == QueryPlan::Index;
+                        if !o.completeness.is_complete() {
+                            run.metrics.local_evals_degraded += 1;
+                            answered = false;
+                        }
+                        o.results.iter().map(wsda_xq::Item::serialize).collect()
+                    }
+                    None => Vec::new(),
                 }
             }
             CompiledQuery::Sql(q) => {
-                let rows = registry.query_sql(q);
-                EvalOut {
-                    items: wsda_registry::sql::SqlQuery::rows_to_xml(&rows)
-                        .iter()
-                        .map(|e| e.to_compact_string())
-                        .collect(),
-                    plan: None,
-                    degraded: false,
-                    shed: false,
-                }
+                wsda_registry::sql::SqlQuery::rows_to_xml(&registry.query_sql(q))
+                    .iter()
+                    .map(|e| e.to_compact_string())
+                    .collect()
+            }
+        };
+        if !answered {
+            info.cache_ok = false;
+        } else {
+            info.cache_cheap_plan = cheap_plan;
+            if info.cache_ok {
+                info.cache_items.extend(items.iter().cloned());
             }
         }
-    }
-
-    /// The sequential apply half of a local evaluation.
-    fn apply_eval(&mut self, run: &mut RunState, job: EvalJob, out: EvalOut) {
-        let EvalJob { node, txn, mode, pipeline, parent, .. } = job;
-        let node_idx = node.0 as usize;
-        if out.shed {
-            run.metrics.local_evals_shed += 1;
-        }
-        let cheap_plan = matches!(out.plan, Some(QueryPlan::Index));
-        if let Some(plan) = out.plan {
-            run.metrics.record_plan(plan);
-        }
-        if out.degraded {
-            run.metrics.local_evals_degraded += 1;
-        }
-        if let Some(info) = self.arena.txns[node_idx].get_mut(&txn) {
-            if out.shed || out.degraded {
-                // Shed or partial evaluations are not the query's answer;
-                // caching them would replay the degradation for the whole
-                // staleness window.
-                info.cache_ok = false;
-            } else {
-                info.cache_cheap_plan = cheap_plan;
-                if info.cache_ok {
-                    info.cache_items.extend(out.items.iter().cloned());
-                }
-            }
-        }
-        let items = out.items;
+        let (mode, pipeline, parent) = (info.mode.clone(), info.scope.pipeline, info.parent);
 
         self.trace(node, TraceKind::Eval, txn, None, Some(items.len() as u64));
         let complete = self.arena.state[node_idx].local_done(&txn);

@@ -1315,10 +1315,11 @@ impl PeerThread {
                             },
                         );
                         // Pipelined: local items leave immediately; `last`
-                        // only when no children are outstanding.
+                        // only when no children are outstanding. A partial
+                        // frame with no items would tell the parent nothing.
                         if complete {
                             self.reply_last(rt, clock, from, transaction, items, false);
-                        } else {
+                        } else if !items.is_empty() {
                             self.reply(rt, from, transaction, items, false, false);
                         }
                     }
@@ -1900,6 +1901,37 @@ mod tests {
             trace.spans.iter().any(|s| s.hop == 2),
             "an 8-peer overlay at radius 2 reaches second-hop peers"
         );
+    }
+
+    #[test]
+    fn interior_peers_send_no_empty_partial_results() {
+        let mut net = LiveNetwork::start(Topology::line(3), 2, 17);
+        let link = "http://only-n2.example.org/svc";
+        net.registry(NodeId(2))
+            .publish(
+                PublishRequest::new(link, "service")
+                    .with_ttl_ms(u64::MAX / 8)
+                    .with_content(wsda_xml::Element::new("service").with_field("owner", "n2")),
+            )
+            .unwrap();
+        let query = format!(r#"/tuple[@link = "{link}"]"#);
+        let report = net.query_full(NodeId(0), &query, None, Duration::from_secs(10));
+        assert!(report.completeness.is_complete());
+        assert_eq!(report.results.len(), 1, "only n2 holds the link");
+        let events: Vec<TraceEvent> =
+            net.traces.iter().flat_map(|b| lock(b).for_txn(report.transaction.0)).collect();
+        let empty_results = |from: &str, to: &str| {
+            events
+                .iter()
+                .filter(|e| e.kind == TraceKind::Results && e.items == 0)
+                .filter(|e| e.node == from && e.peer.as_deref() == Some(to))
+                .count()
+        };
+        // n0 and n1 match nothing locally while a child is pending: the
+        // only empty frame each sends upward is its final one.
+        assert_eq!(empty_results("n1", "n0"), 1, "n1 -> n0: {events:?}");
+        let client = format!("n{}", net.client_id.0);
+        assert_eq!(empty_results("n0", &client), 1, "n0 -> client: {events:?}");
     }
 
     #[test]
