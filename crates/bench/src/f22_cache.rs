@@ -119,11 +119,14 @@ struct Arm {
 fn cache_on_arm(n: usize, pool: usize, draws: usize, origins: u32, staleness_ms: u64) -> Arm {
     let mut net = build(n, true);
     let load = run_workload(&mut net, pool, draws, origins, staleness_ms);
-    let (hits, misses) = (net.result_cache_hits(), net.result_cache_misses());
+    let (hits, misses) = (
+        net.metrics().family_sum("updf_result_cache_hits_total"),
+        net.metrics().family_sum("updf_result_cache_misses_total"),
+    );
     Arm {
         load,
         hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-        entries: net.result_cache_entries(),
+        entries: net.metrics().family_sum("updf_result_cache_entries_total") as usize,
     }
 }
 
@@ -304,8 +307,16 @@ mod tests {
         assert_eq!(on.evaluated, off.evaluated);
         assert_eq!(on.messages, off.messages);
         assert_eq!(on.cache_served, 0);
-        assert_eq!(net.result_cache_hits(), 0, "bound 0 must never consult the cache");
-        assert_eq!(net.result_cache_insertions(), 0, "bound 0 must never populate the cache");
+        assert_eq!(
+            net.metrics().family_sum("updf_result_cache_hits_total"),
+            0,
+            "bound 0 must never consult the cache"
+        );
+        assert_eq!(
+            net.metrics().family_sum("updf_result_cache_insertions_total"),
+            0,
+            "bound 0 must never populate the cache"
+        );
     }
 
     /// Distinct ranks compile to distinct queries (distinct fingerprints).

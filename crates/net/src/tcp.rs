@@ -1,6 +1,6 @@
 //! A TCP socket transport for PDP frames: the production substrate.
 //!
-//! Implements the same [`FrameTransport`] surface as [`ThreadedNetwork`],
+//! Implements the same [`FrameTransport`] surface as [`ThreadedNetwork`](crate::transport::ThreadedNetwork),
 //! but frames travel over real sockets — each registered node gets its own
 //! loopback (or explicitly bound) listener, so a federation can run as
 //! threads in one process, one process per node, or anything in between,

@@ -14,14 +14,12 @@
 //!   the originator (or agent) to receive its results directly rather than
 //!   routing them back hop-by-hop.
 
-use serde::{Deserialize, Serialize};
-
 /// A network-wide node address. The original used URLs; experiments use
 /// small string forms of simulator node ids (`"n42"`).
 pub type Endpoint = String;
 
 /// A 128-bit transaction identifier, unique per query execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransactionId(pub u128);
 
 impl TransactionId {
@@ -50,7 +48,7 @@ impl std::fmt::Display for TransactionId {
 /// The query language of a forwarded query (UPDF is language-agnostic).
 /// `Hash` so `(source, language)` can key the per-node compiled-query
 /// cache ([`crate::QueryCache`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryLanguage {
     /// XQuery source text.
     XQuery,
@@ -61,7 +59,7 @@ pub enum QueryLanguage {
 }
 
 /// How results travel back to the originator (section 6.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResponseMode {
     /// Results route hop-by-hop back along the query path.
     Routed,
@@ -76,7 +74,7 @@ pub enum ResponseMode {
 }
 
 /// The query scope travelling with a query (sections 6.5–6.8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scope {
     /// Remaining hop radius; `None` = unbounded.
     pub radius: Option<u32>,
@@ -141,7 +139,7 @@ impl Scope {
 pub type ResultItem = String;
 
 /// A PDP message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Start or forward a query.
     Query {

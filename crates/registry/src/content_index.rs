@@ -17,7 +17,7 @@
 //!   XPath string value (deep text), and
 //! * attributes post `(path + ["@name"], value)`.
 //!
-//! A path's postings live in a [`PathEntry`]: the set of links with *any*
+//! A path's postings live in a `PathEntry`: the set of links with *any*
 //! node on the path (`all`, answering existence predicates) plus a
 //! value-keyed map (`by_value`, answering equality predicates).
 //!

@@ -3,7 +3,7 @@
 //!
 //! The paper's registries are pure soft-state caches; a production overlay
 //! cannot lose every tuple and lease on a process restart. This module adds
-//! a pluggable [`DurableBackend`] behind [`TupleStore`] — the in-memory
+//! a pluggable [`DurableBackend`] behind [`TupleStore`](crate::store::TupleStore) — the in-memory
 //! default (no backend attached) is completely unchanged — plus one
 //! concrete implementation, [`WalBackend`]:
 //!
@@ -23,7 +23,7 @@
 //!   the process was down are dropped instead of resurrected.
 //!
 //! **Clock restoration.** `Time` is milliseconds since an arbitrary epoch,
-//! so a freshly constructed [`SystemClock`] after restart would restart at
+//! so a freshly constructed [`SystemClock`](crate::clock::SystemClock) after restart would restart at
 //! zero and resurrect every expired lease. The WAL therefore interleaves
 //! `Stamp` records pairing virtual time with Unix wall-clock time; recovery
 //! with [`RecoverNow::WallClock`] projects the downtime window through the
@@ -399,7 +399,8 @@ struct WalFile {
 
 /// The WAL + snapshot backend. Create via [`open_store`] (recovery) or
 /// [`WalBackend::create`] (fresh directory); attach to a store with
-/// [`ShardedStore::attach_backend`] / [`TupleStore::attach_backend`].
+/// [`ShardedStore::attach_backend`] /
+/// [`TupleStore::attach_backend`](crate::store::TupleStore::attach_backend).
 #[derive(Debug)]
 pub struct WalBackend {
     dir: PathBuf,

@@ -1,9 +1,12 @@
 //! The P2P query engine: peer nodes on the discrete-event simulator.
 //!
-//! Every peer node is a full hyper registry plus a PDP node state table.
-//! [`SimNetwork::run_query`] injects a query at an originator node and runs
-//! the network to quiescence (or deadline), implementing the chapter-6
-//! machinery:
+//! Every peer node is a full hyper registry plus a [`NodeCore`], the PDP
+//! node the live peers run too. This module is the simulator's driver for
+//! it: it turns the core's actions into simulator messages and timers, and
+//! owns what only a simulation has — evaluation delay, slow nodes, retry
+//! jitter, churn and the network model. [`SimNetwork::run_query`] injects
+//! a query at an originator node and runs the network to quiescence (or
+//! deadline), implementing the chapter-6 machinery:
 //!
 //! * **servent model** — the query spreads node-to-node along the topology
 //!   (each node: loop-detect → evaluate locally → forward within scope →
@@ -26,7 +29,7 @@
 //! The engine is built for 10^5–10^6 nodes (see `DESIGN.md`, "Simulator at
 //! scale"):
 //!
-//! * per-node runtime state lives in a struct-of-arrays [`NodeArena`]
+//! * per-node runtime state lives in a struct-of-arrays node arena
 //!   indexed by dense `NodeId` — no per-node `String` keys anywhere on the
 //!   hot path ([`wsda_pdp::Sym`] stands in for peer endpoints),
 //! * endpoint strings are materialized once in an [`EndpointTable`] (one
@@ -38,48 +41,38 @@
 //! * one sequential event loop: each local evaluation runs inline on the
 //!   loop thread when its timer pops. Same-instant evaluations on a flood
 //!   come a few at a time between message deliveries, far too few to
-//!   repay a thread fan-out.
+//!   repay a thread fan-out,
+//! * one reused action buffer: a core input never allocates a fresh
+//!   `Vec` for the actions it emits.
 
 use crate::arena::{AliveSet, EndpointTable, TimerSlab};
-use crate::breaker::{CircuitBreaker, ForwardDecision};
 use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
+use crate::node::{evaluate_locally, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer};
 use crate::recovery::{Completeness, RecoveryConfig};
-use crate::selection::{NeighborPolicy, NodeKinds, RoutingIndex};
+use crate::selection::{NodeKinds, RoutingIndex};
 use crate::topology::Topology;
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wsda_net::model::{ChaosPlan, ChurnConfig, FaultPlan, NetworkModel};
 use wsda_net::{Delivery, NodeId, Simulator};
 use wsda_obs::{Gauge, MetricsRegistry, QueryTrace, TraceBuffer, TraceEvent, TraceKind};
 use wsda_pdp::{
-    encoded_len, BeginOutcome, CompiledQuery, Message, NodeStateTable, QueryCache, QueryLanguage,
-    ResponseMode, ResultCache, ResultLedger, Scope, Sym, TransactionId,
+    encoded_len, Message, QueryLanguage, ResponseMode, ResultCache, Scope, TransactionId,
 };
-use wsda_registry::admission::{Admission, AdmissionConfig, AdmissionContext};
+use wsda_registry::admission::AdmissionConfig;
 use wsda_registry::clock::{ManualClock, Time};
 use wsda_registry::workload::CorpusGenerator;
 use wsda_registry::{
-    Freshness, HyperRegistry, PersistenceConfig, QueryPlan, QueryScope, RecoveryReport,
-    RegistryConfig, RegistryError,
+    HyperRegistry, PersistenceConfig, PublishRequest, RecoveryReport, RegistryConfig, RegistryError,
 };
 
 /// Node count at or below which per-node gauges and eager registries
 /// default on (the legacy behavior every existing experiment sees).
 const PER_NODE_METRICS_AUTO_LIMIT: usize = 512;
-
-/// How nodes bound their waiting (experiment F8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeoutMode {
-    /// The abort budget travels in the scope and shrinks per hop; each node
-    /// aborts exactly when its remaining budget lapses.
-    DynamicAbort,
-    /// Every node uses the same fixed timeout regardless of depth.
-    StaticPerNode(u64),
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -125,7 +118,7 @@ pub struct P2pConfig {
     pub persist_root: Option<PathBuf>,
     /// Per-node gauges and per-node registry stat export: `Some(b)`
     /// forces, `None` enables them automatically for networks of at most
-    /// [`PER_NODE_METRICS_AUTO_LIMIT`] nodes. Per-node metric names
+    /// 512 nodes. Per-node metric names
     /// allocate per node, which 10^5-node networks cannot afford;
     /// aggregate `*_total` gauges are always maintained.
     pub per_node_metrics: Option<bool>,
@@ -215,25 +208,32 @@ struct RegistryFactory {
     tuples_per_node: usize,
 }
 
-impl RegistryFactory {
-    fn corpus_seed(&self, node: u32) -> u64 {
-        self.seed ^ (node as u64).wrapping_mul(0x9e37)
-    }
+/// The seed of node `node`'s synthetic corpus slice.
+fn corpus_seed(seed: u64, node: u32) -> u64 {
+    seed ^ u64::from(node).wrapping_mul(0x9e37)
+}
 
-    /// Publish node `i`'s synthetic corpus (deterministic in the seed).
+/// Publish node `node`'s synthetic corpus slice: deterministic in the
+/// seed, so a node answers identically on the simulator, on a live
+/// overlay and as a standalone process.
+pub(crate) fn publish_corpus(registry: &HyperRegistry, seed: u64, node: u32, tuples: usize) {
+    let mut generator = CorpusGenerator::new(corpus_seed(seed, node));
+    for _ in 0..tuples {
+        let (link, _kind, domain, content) = generator.next_service();
+        registry
+            .publish(
+                PublishRequest::new(&link, "service")
+                    .with_context(domain)
+                    .with_ttl_ms(u64::MAX / 8)
+                    .with_content(content),
+            )
+            .expect("synthetic publish");
+    }
+}
+
+impl RegistryFactory {
     fn populate(&self, registry: &HyperRegistry, node: u32) {
-        let mut generator = CorpusGenerator::new(self.corpus_seed(node));
-        for _ in 0..self.tuples_per_node {
-            let (link, _kind, domain, content) = generator.next_service();
-            registry
-                .publish(
-                    wsda_registry::PublishRequest::new(&link, "service")
-                        .with_context(domain)
-                        .with_ttl_ms(u64::MAX / 8)
-                        .with_content(content),
-                )
-                .expect("synthetic publish");
-        }
+        publish_corpus(registry, self.seed, node, self.tuples_per_node);
     }
 
     fn materialize(&self, node: u32) -> Arc<HyperRegistry> {
@@ -275,26 +275,8 @@ impl NodeRegistry {
 struct NodeArena {
     factory: RegistryFactory,
     registries: Vec<NodeRegistry>,
-    state: Vec<NodeStateTable>,
-    /// Per-transaction runtime info.
-    txns: Vec<HashMap<TransactionId, TxnInfo>>,
-    /// Received-frame dedup (recovery): replays are acked but not merged.
-    ledgers: Vec<ResultLedger>,
-    /// Sent-but-unacked `Results` frames keyed by (txn, receiver, seq).
-    pending_acks: Vec<HashMap<(TransactionId, NodeId, u64), PendingFrame>>,
-    /// Neighbors that exhausted a retry budget; skipped by later forwards.
-    suspected: Vec<HashSet<NodeId>>,
-    /// Per-neighbor circuit breakers (when enabled these subsume the
-    /// permanent `suspected` filter: open breakers shed forwards, and a
-    /// half-open probe answered with `Pong` rehabilitates the neighbor).
-    breakers: Vec<HashMap<NodeId, CircuitBreaker>>,
-    /// Per-node compiled-query cache: one parse per distinct query string,
-    /// shared by every hop and retransmission that reaches this node.
-    qcaches: Vec<QueryCache>,
-    /// Per-node result cache (edge result caching): complete subtree
-    /// answers reusable within a query's staleness bound. An idle cache
-    /// owns no heap, so 10^5-node arenas pay nothing until queries opt in.
-    rcaches: Vec<ResultCache>,
+    /// Each node's PDP protocol state (idle cores own no heap).
+    cores: Vec<NodeCore>,
     /// Bounded rings of hop-level trace events recorded at each node.
     traces: Vec<TraceBuffer>,
     /// Per-node peer lifecycle tables ([`P2pConfig::lifecycle`]); empty
@@ -306,63 +288,10 @@ impl NodeArena {
     fn registry(&self, node: NodeId) -> &Arc<HyperRegistry> {
         self.registries[node.0 as usize].get(&self.factory, node.0)
     }
-}
 
-/// A reliable `Results` frame awaiting its ack.
-struct PendingFrame {
-    message: Message,
-    retries_left: u32,
-    backoff_ms: u64,
-}
-
-struct TxnInfo {
-    query: CompiledQuery,
-    /// Shared, not cloned, into watchdog re-queries and referral fetches.
-    source: Arc<str>,
-    language: QueryLanguage,
-    scope: Scope,
-    mode: ResponseMode,
-    parent: Option<NodeId>,
-    /// Buffered result items (store-and-forward routed mode; referral
-    /// holding pen awaiting fetch).
-    buffer: Vec<String>,
-    /// Aborted by a local timeout (late child results are dropped).
-    aborted: bool,
-    /// Final results already sent toward the parent.
-    finalized: bool,
-    /// Whether `buffer` contains items that arrived from children (the
-    /// relayed-bytes accounting for store-and-forward mode).
-    buffer_has_child_items: bool,
-    /// Accept-time deadline (arrival + abort budget): the admission gate
-    /// sheds or degrades local evaluation against this.
-    deadline: Time,
-    /// Accumulates this node's complete subtree answer (local + child
-    /// items, pipelined or buffered alike) for result-cache population.
-    /// Only fed while `cache_ok` holds.
-    cache_items: Vec<String>,
-    /// May the finished subtree answer be installed in the result cache?
-    /// Starts true only for routed queries carrying a nonzero staleness
-    /// bound (with caching enabled); falsified by anything that makes the
-    /// answer non-representative — aborts, closes, sheds, degraded or
-    /// partial evaluation, abandoned subtrees, or child results that were
-    /// themselves served from a cache (re-caching second-hand items would
-    /// compound staleness past the bound).
-    cache_ok: bool,
-    /// The local evaluation resolved to a pure index plan (PR 4's cost
-    /// signal): a leaf answering that cheaply is not worth caching.
-    cache_cheap_plan: bool,
-    /// The node forwarded to children, so its answer aggregates a whole
-    /// subtree — always worth caching, whatever the local plan cost.
-    cache_forwarded: bool,
-    /// A child's results arrived cache-served: this node's outgoing final
-    /// frame must carry the `cached` provenance flag upward.
-    cache_tainted: bool,
-    /// Peers whose results are folded into `cache_items` — recorded so a
-    /// later departure can purge the entries their data reached.
-    cache_sources: Vec<u32>,
-    /// When the query arrived here (virtual ms) — the base for the
-    /// lifecycle's per-link result-latency observations.
-    accepted_at_ms: u64,
+    fn fresh_core(config: &P2pConfig) -> NodeCore {
+        NodeCore::new(config.result_cache_capacity, config.result_cache_ttl_ms)
+    }
 }
 
 /// The outcome of one query execution.
@@ -381,78 +310,42 @@ pub struct QueryRun {
     pub transaction: TransactionId,
 }
 
-/// Cached per-node gauge handles — registering names allocates, so it
-/// happens once at build time, never inside [`SimNetwork::metrics`].
-struct NodeGauges {
-    ledger_streams: Gauge,
-    state_entries: Gauge,
-    txn_info: Gauge,
-    pending_acks: Gauge,
-    trace_dropped: Gauge,
-}
+/// Per-node gauge families, registered as `name{node="n<i>"}` in this
+/// order — registering names allocates, so it happens once at build
+/// time, never inside [`SimNetwork::metrics`].
+const NODE_GAUGES: [&str; 5] = [
+    "updf_ledger_streams",
+    "updf_state_entries",
+    "updf_txn_info",
+    "updf_pending_acks",
+    "updf_trace_dropped",
+];
 
-impl NodeGauges {
-    fn register(metrics: &MetricsRegistry, i: usize) -> NodeGauges {
-        NodeGauges {
-            ledger_streams: metrics.gauge(&format!("updf_ledger_streams{{node=\"n{i}\"}}")),
-            state_entries: metrics.gauge(&format!("updf_state_entries{{node=\"n{i}\"}}")),
-            txn_info: metrics.gauge(&format!("updf_txn_info{{node=\"n{i}\"}}")),
-            pending_acks: metrics.gauge(&format!("updf_pending_acks{{node=\"n{i}\"}}")),
-            trace_dropped: metrics.gauge(&format!("updf_trace_dropped{{node=\"n{i}\"}}")),
-        }
-    }
-}
-
-/// Network-wide gauges, maintained at every scale.
-struct TotalGauges {
-    ledger_streams: Gauge,
-    state_entries: Gauge,
-    txn_info: Gauge,
-    pending_acks: Gauge,
-    overflowed: Gauge,
-    qcache_parses: Gauge,
-    qcache_hits: Gauge,
-    qcache_evictions: Gauge,
-    rcache_hits: Gauge,
-    rcache_misses: Gauge,
-    rcache_evictions: Gauge,
-    rcache_stale_rejects: Gauge,
-    rcache_invalidations: Gauge,
-    rcache_entries: Gauge,
-    peers_identified: Gauge,
-    peers_pending: Gauge,
-    peers_connected: Gauge,
-    peers_departed: Gauge,
-    swaps: Gauge,
-    rebootstraps: Gauge,
-}
-
-impl TotalGauges {
-    fn register(metrics: &MetricsRegistry) -> TotalGauges {
-        TotalGauges {
-            ledger_streams: metrics.gauge("updf_ledger_streams_total"),
-            state_entries: metrics.gauge("updf_state_entries_total"),
-            txn_info: metrics.gauge("updf_txn_info_total"),
-            pending_acks: metrics.gauge("updf_pending_acks_total"),
-            overflowed: metrics.gauge("sim_messages_overflowed"),
-            qcache_parses: metrics.gauge("updf_query_cache_parses_total"),
-            qcache_hits: metrics.gauge("updf_query_cache_hits_total"),
-            qcache_evictions: metrics.gauge("updf_query_cache_evictions_total"),
-            rcache_hits: metrics.gauge("updf_result_cache_hits_total"),
-            rcache_misses: metrics.gauge("updf_result_cache_misses_total"),
-            rcache_evictions: metrics.gauge("updf_result_cache_evictions_total"),
-            rcache_stale_rejects: metrics.gauge("updf_result_cache_stale_rejects_total"),
-            rcache_invalidations: metrics.gauge("updf_result_cache_invalidations_total"),
-            rcache_entries: metrics.gauge("updf_result_cache_entries_total"),
-            peers_identified: metrics.gauge("updf_peers_identified_total"),
-            peers_pending: metrics.gauge("updf_peers_pending_total"),
-            peers_connected: metrics.gauge("updf_peers_connected_total"),
-            peers_departed: metrics.gauge("updf_peers_departed_total"),
-            swaps: metrics.gauge("updf_swaps_total"),
-            rebootstraps: metrics.gauge("updf_rebootstraps_total"),
-        }
-    }
-}
+/// Network-wide gauge families, maintained at every scale, in the order
+/// [`SimNetwork::metrics`] computes their values.
+const TOTAL_GAUGES: [&str; 21] = [
+    "updf_ledger_streams_total",
+    "updf_state_entries_total",
+    "updf_txn_info_total",
+    "updf_pending_acks_total",
+    "sim_messages_overflowed",
+    "updf_query_cache_parses_total",
+    "updf_query_cache_hits_total",
+    "updf_query_cache_evictions_total",
+    "updf_result_cache_hits_total",
+    "updf_result_cache_misses_total",
+    "updf_result_cache_evictions_total",
+    "updf_result_cache_stale_rejects_total",
+    "updf_result_cache_invalidations_total",
+    "updf_result_cache_insertions_total",
+    "updf_result_cache_entries_total",
+    "updf_peers_identified_total",
+    "updf_peers_pending_total",
+    "updf_peers_connected_total",
+    "updf_peers_departed_total",
+    "updf_swaps_total",
+    "updf_rebootstraps_total",
+];
 
 /// A P2P network of hyper-registry nodes on the discrete-event simulator.
 pub struct SimNetwork {
@@ -461,55 +354,36 @@ pub struct SimNetwork {
     arena: NodeArena,
     node_kinds: NodeKinds,
     config: P2pConfig,
+    /// The protocol settings every node core reads.
+    core: CoreConfig,
+    /// Reused buffer for the actions one core input emits.
+    actions: Vec<Action>,
     /// `None` when disabled ([`P2pConfig::build_routing_index`]);
     /// `hint:` policies then flood.
     routing_index: Option<RoutingIndex>,
     /// All node endpoint strings in one shared buffer.
     endpoints: EndpointTable,
     /// In-flight timers; slots recycle as timers fire.
-    timers: TimerSlab<TimerEvent>,
+    timers: TimerSlab<SimTimer>,
     /// Churn membership: frames to (and timers at) dead nodes vanish.
     alive: AliveSet,
     /// Soft-state churn intervals elapsed (the churn schedule's tick).
     churn_ticks: u64,
     txn_counter: u64,
     metrics: MetricsRegistry,
-    /// Empty unless per-node metrics are enabled.
-    node_gauges: Vec<NodeGauges>,
-    totals: TotalGauges,
+    /// Handles for [`NODE_GAUGES`] per node; empty unless per-node
+    /// metrics are enabled.
+    node_gauges: Vec<[Gauge; 5]>,
+    /// Handles for [`TOTAL_GAUGES`], in order.
+    totals: Vec<Gauge>,
 }
 
+/// What a simulator timer slot holds: a node's evaluation delay, or a
+/// timer its core asked for.
 #[derive(Debug, Clone, Copy)]
-enum TimerEvent {
-    LocalEvalDone {
-        node: NodeId,
-        txn: TransactionId,
-    },
-    NodeAbort {
-        node: NodeId,
-        txn: TransactionId,
-    },
-    OriginDeadline {
-        txn: TransactionId,
-    },
-    /// Retransmit an unacked `Results` frame (recovery).
-    RetryResults {
-        node: NodeId,
-        txn: TransactionId,
-        to: NodeId,
-        seq: u64,
-    },
-    /// Check forwarded subtrees for liveness; `attempt` 0 re-queries,
-    /// later attempts abandon (recovery).
-    ChildWatchdog {
-        node: NodeId,
-        txn: TransactionId,
-        attempt: u32,
-    },
-}
-
-fn parse_endpoint(e: &str) -> Option<NodeId> {
-    e.strip_prefix('n').and_then(|s| s.parse().ok()).map(NodeId)
+enum SimTimer {
+    Eval(TransactionId),
+    Core(Timer),
 }
 
 impl SimNetwork {
@@ -531,7 +405,7 @@ impl SimNetwork {
         if let Some(cap) = config.inbox_capacity {
             // Query frames are sheddable at a full inbox; results, acks and
             // control frames always queue (they finish work already paid for).
-            sim.set_inbox_capacity(cap, |m| matches!(m, Message::Query { .. }));
+            sim.set_inbox_capacity(cap, |m| m.kind() == "query");
         }
         let clock = sim.clock();
         let n = topology.len();
@@ -565,7 +439,7 @@ impl SimNetwork {
             // lazily, or came back from disk — it is deterministic in the
             // seed and consumes the exact draw sequence full generation
             // does.
-            let mut generator = CorpusGenerator::new(factory.corpus_seed(node_u32));
+            let mut generator = CorpusGenerator::new(corpus_seed(config.seed, node_u32));
             for _ in 0..config.tuples_per_node {
                 node_kinds.insert(NodeId(node_u32), generator.next_service_kind());
             }
@@ -595,26 +469,19 @@ impl SimNetwork {
                         backend.metrics.export_into(&metrics, &format!("n{i}"));
                     }
                 }
-                node_gauges.push(NodeGauges::register(&metrics, i));
+                node_gauges.push(
+                    NODE_GAUGES.map(|name| metrics.gauge(&format!("{name}{{node=\"n{i}\"}}"))),
+                );
             }
         }
-        let totals = TotalGauges::register(&metrics);
+        let totals = TOTAL_GAUGES.iter().map(|name| metrics.gauge(name)).collect();
         let routing_index = config
             .build_routing_index
             .then(|| RoutingIndex::build(&topology, &node_kinds, config.routing_horizon));
         let arena = NodeArena {
             factory,
             registries,
-            state: (0..n).map(|_| NodeStateTable::new()).collect(),
-            txns: (0..n).map(|_| HashMap::new()).collect(),
-            ledgers: (0..n).map(|_| ResultLedger::new()).collect(),
-            pending_acks: (0..n).map(|_| HashMap::new()).collect(),
-            suspected: (0..n).map(|_| HashSet::new()).collect(),
-            breakers: (0..n).map(|_| HashMap::new()).collect(),
-            qcaches: (0..n).map(|_| QueryCache::default()).collect(),
-            rcaches: (0..n)
-                .map(|_| ResultCache::new(config.result_cache_capacity, config.result_cache_ttl_ms))
-                .collect(),
+            cores: (0..n).map(|_| NodeArena::fresh_core(&config)).collect(),
             traces: (0..n).map(|_| TraceBuffer::new(config.trace_capacity)).collect(),
             peers: (0..n)
                 .map(|i| {
@@ -630,6 +497,15 @@ impl SimNetwork {
                 })
                 .collect(),
         };
+        let core = CoreConfig {
+            hop_cost_ms: config.hop_cost_ms,
+            timeout_mode: config.timeout_mode,
+            recovery: config.recovery,
+            result_cache: config.result_cache,
+            lifecycle: config.lifecycle.enabled,
+            trace: config.trace_capacity > 0,
+            client: None,
+        };
         SimNetwork {
             endpoints: EndpointTable::new(n),
             topology,
@@ -637,6 +513,8 @@ impl SimNetwork {
             arena,
             node_kinds,
             config,
+            core,
+            actions: Vec::new(),
             routing_index,
             timers: TimerSlab::new(),
             alive: AliveSet::all_alive(n),
@@ -661,7 +539,7 @@ impl SimNetwork {
         self.arena
             .registry(node)
             .publish(
-                wsda_registry::PublishRequest::new(link, "service")
+                PublishRequest::new(link, "service")
                     .with_ttl_ms(u64::MAX / 8)
                     .with_content(content),
             )
@@ -700,9 +578,8 @@ impl SimNetwork {
     /// the simulator analogue of a process restart after a [`ChaosPlan`]
     /// crash window. The registry is recovered from `root/n<i>` (leases
     /// that lapsed while the node was down are swept, not resurrected);
-    /// every piece of P2P runtime state — state table, result ledger,
-    /// pending acks, breakers, compiled-query cache, trace ring — is
-    /// reset, exactly what a real restart would lose.
+    /// the node core and trace ring are reset, exactly what a real
+    /// restart would lose.
     ///
     /// Errors unless the network was built with
     /// [`P2pConfig::persist_root`] set.
@@ -717,15 +594,7 @@ impl SimNetwork {
         // Drop the old incarnation first so its WAL handle is released
         // before recovery reopens (and snapshots into) the directory.
         self.arena.registries[i] = NodeRegistry::lazy();
-        self.arena.state[i] = NodeStateTable::new();
-        self.arena.txns[i] = HashMap::new();
-        self.arena.ledgers[i] = ResultLedger::new();
-        self.arena.pending_acks[i] = HashMap::new();
-        self.arena.suspected[i] = HashSet::new();
-        self.arena.breakers[i] = HashMap::new();
-        self.arena.qcaches[i] = QueryCache::default();
-        self.arena.rcaches[i] =
-            ResultCache::new(self.config.result_cache_capacity, self.config.result_cache_ttl_ms);
+        self.arena.cores[i] = NodeArena::fresh_core(&self.config);
         self.arena.traces[i] = TraceBuffer::new(self.config.trace_capacity);
         self.arena.peers[i] = if self.config.lifecycle.enabled {
             PeerTable::seeded(self.topology.neighbors(node), self.sim.now().millis())
@@ -759,62 +628,6 @@ impl SimNetwork {
     /// built (see [`P2pConfig::inbox_capacity`]); 0 with unbounded inboxes.
     pub fn network_overflows(&self) -> u64 {
         self.sim.stats().messages_overflowed
-    }
-
-    /// Total query compilations across all nodes' caches. The parse-once
-    /// tests assert this stays flat across repeated runs, extra hops and
-    /// retransmissions of the same query string.
-    pub fn query_parses(&self) -> u64 {
-        self.arena.qcaches.iter().map(|c| c.parses()).sum()
-    }
-
-    /// Total compiled-query cache hits across all nodes.
-    pub fn query_cache_hits(&self) -> u64 {
-        self.arena.qcaches.iter().map(|c| c.hits()).sum()
-    }
-
-    /// Total compiled-query cache LRU evictions across all nodes.
-    pub fn query_cache_evictions(&self) -> u64 {
-        self.arena.qcaches.iter().map(|c| c.evictions()).sum()
-    }
-
-    /// Total result-cache hits (queries answered without evaluation or
-    /// forwarding) across all nodes.
-    pub fn result_cache_hits(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.hits()).sum()
-    }
-
-    /// Total result-cache misses across all nodes.
-    pub fn result_cache_misses(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.misses()).sum()
-    }
-
-    /// Total result-cache LRU evictions across all nodes.
-    pub fn result_cache_evictions(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.evictions()).sum()
-    }
-
-    /// Total result-cache entries rejected for exceeding a freshness
-    /// bound (TTL, origin bound, or the requester's staleness bound).
-    pub fn result_cache_stale_rejects(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.stale_rejects()).sum()
-    }
-
-    /// Total result-cache entries dropped because the local registry
-    /// mutated since they were installed.
-    pub fn result_cache_invalidations(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.invalidations()).sum()
-    }
-
-    /// Total result-cache insertions across all nodes.
-    pub fn result_cache_insertions(&self) -> u64 {
-        self.arena.rcaches.iter().map(|c| c.insertions()).sum()
-    }
-
-    /// Live result-cache entries across all nodes (leak regression
-    /// surface: bounded by `nodes × result_cache_capacity`).
-    pub fn result_cache_entries(&self) -> usize {
-        self.arena.rcaches.iter().map(|c| c.len()).sum()
     }
 
     // ==== churn / peer lifecycle (P2pConfig::lifecycle) ===================
@@ -898,7 +711,8 @@ impl SimNetwork {
             }
             for &a in &conns {
                 if self.alive.get(a) {
-                    self.peer_departed(a, node, now_ms);
+                    let i = a.0 as usize;
+                    self.arena.cores[i].on_peer_departed(&mut self.arena.peers[i], node, now_ms);
                 }
             }
         }
@@ -945,15 +759,7 @@ impl SimNetwork {
         }
         let i = node.0 as usize;
         let now_ms = self.sim.now().millis();
-        self.arena.state[i] = NodeStateTable::new();
-        self.arena.txns[i] = HashMap::new();
-        self.arena.ledgers[i] = ResultLedger::new();
-        self.arena.pending_acks[i] = HashMap::new();
-        self.arena.suspected[i] = HashSet::new();
-        self.arena.breakers[i] = HashMap::new();
-        self.arena.qcaches[i] = QueryCache::default();
-        self.arena.rcaches[i] =
-            ResultCache::new(self.config.result_cache_capacity, self.config.result_cache_ttl_ms);
+        self.arena.cores[i] = NodeArena::fresh_core(&self.config);
         if self.config.lifecycle.enabled {
             let mut table = PeerTable::new();
             for &nb in self.topology.neighbors(node) {
@@ -1022,7 +828,7 @@ impl SimNetwork {
                 .filter(|&p| !alive.get(p))
                 .collect();
             for d in dead {
-                self.peer_departed(node, d, now_ms);
+                self.arena.cores[i].on_peer_departed(&mut self.arena.peers[i], d, now_ms);
             }
             let want = self.topology.neighbors(node).len().max(1);
             let have = self.arena.peers[i].connected().len();
@@ -1115,21 +921,6 @@ impl SimNetwork {
         swaps
     }
 
-    /// `at` learns that `gone` departed: lifecycle transition plus the
-    /// per-peer state sweep — cached results folded from the peer, result
-    /// streams it sent, frames awaiting its ack, suspicion and breaker
-    /// history all go with it.
-    fn peer_departed(&mut self, at: NodeId, gone: NodeId, now_ms: u64) {
-        let i = at.0 as usize;
-        if self.arena.peers[i].depart(gone, now_ms) {
-            self.arena.rcaches[i].purge_source(gone.0);
-            self.arena.ledgers[i].forget_sender(Sym(gone.0));
-            self.arena.pending_acks[i].retain(|(_, to, _), _| *to != gone);
-            self.arena.suspected[i].remove(&gone);
-            self.arena.breakers[i].remove(&gone);
-        }
-    }
-
     /// In-flight timers (leak regression surface: fired and superseded
     /// timers must not accumulate).
     pub fn timers_live(&self) -> usize {
@@ -1155,40 +946,48 @@ impl SimNetwork {
     /// [`MetricsRegistry::render_prometheus`] or snapshot with
     /// [`MetricsRegistry::to_json`].
     pub fn metrics(&self) -> &MetricsRegistry {
-        for (i, g) in self.node_gauges.iter().enumerate() {
-            g.ledger_streams.set(self.arena.ledgers[i].streams() as u64);
-            g.state_entries.set(self.arena.state[i].len() as u64);
-            g.txn_info.set(self.arena.txns[i].len() as u64);
-            g.pending_acks.set(self.arena.pending_acks[i].len() as u64);
-            g.trace_dropped.set(self.arena.traces[i].dropped());
+        let cores = &self.arena.cores;
+        for ((gauges, core), trace) in self.node_gauges.iter().zip(cores).zip(&self.arena.traces) {
+            let values = [
+                core.ledger_streams() as u64,
+                core.state_entries() as u64,
+                core.txns() as u64,
+                core.pending_acks() as u64,
+                trace.dropped(),
+            ];
+            for (gauge, value) in gauges.iter().zip(values) {
+                gauge.set(value);
+            }
         }
-        self.totals.ledger_streams.set(self.arena.ledgers.iter().map(|l| l.streams() as u64).sum());
-        self.totals.state_entries.set(self.arena.state.iter().map(|s| s.len() as u64).sum());
-        self.totals.txn_info.set(self.arena.txns.iter().map(|t| t.len() as u64).sum());
-        self.totals.pending_acks.set(self.arena.pending_acks.iter().map(|p| p.len() as u64).sum());
-        self.totals.overflowed.set(self.network_overflows());
-        self.totals.qcache_parses.set(self.query_parses());
-        self.totals.qcache_hits.set(self.query_cache_hits());
-        self.totals.qcache_evictions.set(self.query_cache_evictions());
-        self.totals.rcache_hits.set(self.result_cache_hits());
-        self.totals.rcache_misses.set(self.result_cache_misses());
-        self.totals.rcache_evictions.set(self.result_cache_evictions());
-        self.totals.rcache_stale_rejects.set(self.result_cache_stale_rejects());
-        self.totals.rcache_invalidations.set(self.result_cache_invalidations());
-        self.totals.rcache_entries.set(self.result_cache_entries() as u64);
-        let (mut idf, mut pnd, mut con, mut dep) = (0u64, 0u64, 0u64, 0u64);
-        for p in &self.arena.peers {
-            idf += p.identified() as u64;
-            pnd += p.count(PeerState::Pending) as u64;
-            con += p.count(PeerState::Connected) as u64;
-            dep += p.count(PeerState::Departed) as u64;
+        let sum = |f: fn(&NodeCore) -> u64| cores.iter().map(f).sum::<u64>();
+        let peers =
+            |state: PeerState| self.arena.peers.iter().map(|p| p.count(state) as u64).sum::<u64>();
+        let values = [
+            sum(|c| c.ledger_streams() as u64),
+            sum(|c| c.state_entries() as u64),
+            sum(|c| c.txns() as u64),
+            sum(|c| c.pending_acks() as u64),
+            self.network_overflows(),
+            sum(|c| c.query_cache().parses()),
+            sum(|c| c.query_cache().hits()),
+            sum(|c| c.query_cache().evictions()),
+            sum(|c| c.result_cache().hits()),
+            sum(|c| c.result_cache().misses()),
+            sum(|c| c.result_cache().evictions()),
+            sum(|c| c.result_cache().stale_rejects()),
+            sum(|c| c.result_cache().invalidations()),
+            sum(|c| c.result_cache().insertions()),
+            sum(|c| c.result_cache().len() as u64),
+            self.arena.peers.iter().map(|p| p.identified() as u64).sum(),
+            peers(PeerState::Pending),
+            peers(PeerState::Connected),
+            peers(PeerState::Departed),
+            self.lifecycle_swaps(),
+            self.lifecycle_rebootstraps(),
+        ];
+        for (gauge, value) in self.totals.iter().zip(values) {
+            gauge.set(value);
         }
-        self.totals.peers_identified.set(idf);
-        self.totals.peers_pending.set(pnd);
-        self.totals.peers_connected.set(con);
-        self.totals.peers_departed.set(dep);
-        self.totals.swaps.set(self.lifecycle_swaps());
-        self.totals.rebootstraps.set(self.lifecycle_rebootstraps());
         &self.metrics
     }
 
@@ -1196,11 +995,14 @@ impl SimNetwork {
     /// Complete when each participating node's recv→eval→results span
     /// survived in its ring (see [`QueryTrace::is_complete`]).
     pub fn assemble_trace(&self, txn: TransactionId) -> QueryTrace {
-        let events =
-            self.arena.traces.iter().flat_map(|t| t.for_txn(txn.0)).collect::<Vec<TraceEvent>>();
-        let mut trace = QueryTrace::assemble(txn.0, events);
+        let mut trace = QueryTrace::assemble(txn.0, self.trace_events(txn));
         trace.dropped = self.arena.traces.iter().map(|t| t.dropped()).sum();
         trace
+    }
+
+    /// Every node's recorded trace events for `txn`, node by node.
+    pub fn trace_events(&self, txn: TransactionId) -> Vec<TraceEvent> {
+        self.arena.traces.iter().flat_map(|t| t.for_txn(txn.0)).collect()
     }
 
     /// Record a hop-level trace event at `node`. Endpoint strings (and the
@@ -1227,15 +1029,9 @@ impl SimNetwork {
         self.arena.traces[node.0 as usize].record(ev);
     }
 
-    fn schedule_timer(&mut self, node: NodeId, delay_ms: u64, ev: TimerEvent) {
-        let tag = self.timers.insert(ev);
+    fn schedule_timer(&mut self, node: NodeId, delay_ms: u64, timer: SimTimer) {
+        let tag = self.timers.insert(timer);
         self.sim.schedule(node, delay_ms, tag);
-    }
-
-    fn send(&mut self, metrics: &mut QueryMetrics, from: NodeId, to: NodeId, msg: Message) {
-        let bytes = encoded_len(&msg);
-        metrics.count_message(msg.kind(), bytes);
-        self.sim.send(from, to, msg, bytes);
     }
 
     /// Execute an XQuery from `origin` over the network (servent model).
@@ -1260,10 +1056,10 @@ impl SimNetwork {
         mode: ResponseMode,
     ) -> QueryRun {
         let txn = self.fresh_txn();
-        let mut run = RunState::new(origin, txn, scope.max_results);
-        // Origin deadline mirrors the scope's abort budget.
-        self.schedule_timer(origin, scope.abort_timeout_ms, TimerEvent::OriginDeadline { txn });
-        self.accept_query(&mut run, origin, None, query_src, language, scope, mode);
+        let mut run = RunState::new(origin, txn);
+        self.step(&mut run, origin, |core, env| {
+            core.originate(env, txn, query_src, language, scope, mode);
+        });
         self.pump(&mut run);
         self.finish(run)
     }
@@ -1272,45 +1068,11 @@ impl SimNetwork {
     /// query directly to every node (radius 0, direct response).
     pub fn run_agent_query(&mut self, origin: NodeId, query_src: &str, scope: Scope) -> QueryRun {
         let txn = self.fresh_txn();
-        let mut run = RunState::new(origin, txn, scope.max_results);
-        self.schedule_timer(origin, scope.abort_timeout_ms, TimerEvent::OriginDeadline { txn });
-        let mode = ResponseMode::Direct { originator: self.endpoints.str(origin).to_owned() };
-        // The agent's own registry participates too.
-        let local_scope = Scope { radius: Some(0), ..scope.clone() };
-        self.accept_query(
-            &mut run,
-            origin,
-            None,
-            query_src,
-            QueryLanguage::XQuery,
-            local_scope.clone(),
-            mode.clone(),
-        );
-        for i in 0..self.topology.len() as u32 {
-            let target = NodeId(i);
-            if target == origin {
-                continue;
-            }
-            let msg = Message::Query {
-                transaction: txn,
-                query: query_src.to_owned(),
-                language: QueryLanguage::XQuery,
-                scope: local_scope.clone(),
-                response_mode: mode.clone(),
-            };
-            self.arena.state[origin.0 as usize].add_child(&txn, Sym(target.0));
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, origin, target, msg);
-            run.metrics = m;
-        }
-        if self.config.recovery.enabled && self.topology.len() > 1 {
-            let delay = self.config.recovery.watchdog_timeout_ms + self.jitter_ms();
-            self.schedule_timer(
-                origin,
-                delay,
-                TimerEvent::ChildWatchdog { node: origin, txn, attempt: 0 },
-            );
-        }
+        let mut run = RunState::new(origin, txn);
+        let targets = (0..self.topology.len() as u32).map(NodeId).filter(move |&t| t != origin);
+        self.step(&mut run, origin, |core, env| {
+            core.originate_agent(env, txn, query_src, scope, targets);
+        });
         self.pump(&mut run);
         self.finish(run)
     }
@@ -1322,9 +1084,11 @@ impl SimNetwork {
 
     fn finish(&mut self, run: RunState) -> QueryRun {
         let mut metrics = run.metrics;
-        metrics.deadline_hit = run.deadline_hit;
-        let lost = metrics.subtrees_abandoned + metrics.node_aborts;
-        let completeness = if lost > 0 || run.deadline_hit {
+        metrics.deadline_hit = self.arena.cores[run.origin.0 as usize].finish_run(run.txn);
+        // Abandoned subtrees, aborted nodes and forwards an open breaker
+        // shed all cost the answer a subtree.
+        let lost = metrics.subtrees_abandoned + metrics.node_aborts + metrics.breaker_sheds;
+        let completeness = if lost > 0 || metrics.deadline_hit {
             Completeness::Partial { subtrees_lost: lost }
         } else {
             Completeness::Complete
@@ -1349,7 +1113,6 @@ impl SimNetwork {
         }
         (self.timers.scheduled().wrapping_mul(0x9e3779b97f4a7c15) >> 33) % (j + 1)
     }
-
     // ==== the event loop ==================================================
 
     fn pump(&mut self, run: &mut RunState) {
@@ -1360,1111 +1123,105 @@ impl SimNetwork {
             events += 1;
             match delivery {
                 Delivery::Message { from, to, message } => {
-                    self.on_message(run, from, to, message);
+                    // Frames addressed to a departed node vanish (crash model).
+                    if !self.alive.get(to) {
+                        continue;
+                    }
+                    if to == run.origin {
+                        run.metrics.bytes_at_originator += encoded_len(&message);
+                    }
+                    self.step(run, to, |core, env| core.on_frame(env, from, message));
                 }
                 Delivery::Timer { node, tag } => {
+                    let timer = self.timers.take(tag);
                     // A departed node's timers die with it.
                     if !self.alive.get(node) {
-                        let _ = self.timers.take(tag);
                         continue;
                     }
-                    if let Some(ev) = self.timers.take(tag) {
-                        self.on_timer(run, ev);
+                    match timer {
+                        Some(SimTimer::Eval(txn)) => self.local_eval(run, node, txn),
+                        Some(SimTimer::Core(t)) => {
+                            self.step(run, node, |core, env| core.on_timer(env, t));
+                        }
+                        None => {}
                     }
                 }
             }
         }
     }
 
-    fn on_message(&mut self, run: &mut RunState, from: NodeId, to: NodeId, message: Message) {
-        // Frames addressed to a departed node vanish (crash model).
-        if !self.alive.get(to) {
-            return;
-        }
-        let bytes = encoded_len(&message);
-        if to == run.origin {
-            run.metrics.bytes_at_originator += bytes;
-        }
-        // Any frame from a peer is proof of life: clear standing suspicion
-        // and move an open breaker to half-open, probing immediately, so a
-        // rejoined or restarted peer is re-probed promptly instead of
-        // waiting out the open window.
-        self.arena.suspected[to.0 as usize].remove(&from);
-        let now_ms = self.sim.now().millis();
-        let probe = self.arena.breakers[to.0 as usize]
-            .get_mut(&from)
-            .is_some_and(|b| b.note_contact(now_ms));
-        if probe {
-            run.metrics.breaker_probes += 1;
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, to, from, Message::Ping);
-            run.metrics = m;
-        }
-        match message {
-            Message::Query { transaction, query, language, scope, response_mode } => {
-                self.accept_query(run, to, Some(from), &query, language, scope, response_mode);
-                let _ = transaction;
-            }
-            Message::Results { transaction, seq, items, last, origin, cached } => {
-                self.on_results(run, from, to, transaction, seq, items, last, origin, cached);
-            }
-            Message::Ack { transaction, seq } => {
-                self.arena.pending_acks[to.0 as usize].remove(&(transaction, from, seq));
-                self.trace(to, TraceKind::Ack, transaction, Some(from), None);
-                self.breaker_success(to, from);
-            }
-            Message::Error { transaction, origin, reason } => {
-                self.on_error(run, to, transaction, origin, reason);
-            }
-            Message::Invite { transaction, node, expected } => {
-                self.on_invite(run, to, transaction, node, expected);
-            }
-            Message::Close { transaction } => {
-                self.on_close(run, to, transaction);
-            }
-            Message::Ping => {
-                let mut m = std::mem::take(&mut run.metrics);
-                self.send(&mut m, to, from, Message::Pong);
-                run.metrics = m;
-            }
-            Message::Pong => {
-                // The half-open probe answered: the neighbor is back.
-                self.breaker_success(to, from);
-                self.arena.suspected[to.0 as usize].remove(&from);
-            }
-        }
-    }
-
-    /// Consult (creating on demand) `node`'s breaker for `neighbor`.
-    fn breaker_decide(&mut self, node: NodeId, neighbor: NodeId, now_ms: u64) -> ForwardDecision {
-        let cfg = self.config.recovery.breaker;
-        self.arena.breakers[node.0 as usize]
-            .entry(neighbor)
-            .or_insert_with(|| CircuitBreaker::new(cfg))
-            .decide(now_ms)
-    }
-
-    /// Record a send/ack failure toward `neighbor`; true when it tripped.
-    fn breaker_failure(&mut self, node: NodeId, neighbor: NodeId, now_ms: u64) -> bool {
-        let cfg = self.config.recovery.breaker;
-        self.arena.breakers[node.0 as usize]
-            .entry(neighbor)
-            .or_insert_with(|| CircuitBreaker::new(cfg))
-            .record_failure(now_ms)
-    }
-
-    /// Record proof of life from `neighbor` (ack or pong).
-    fn breaker_success(&mut self, node: NodeId, neighbor: NodeId) {
-        if let Some(b) = self.arena.breakers[node.0 as usize].get_mut(&neighbor) {
-            b.record_success();
-        }
-    }
-
-    /// A query arrives at `node` (from `parent`, or injected when `None`).
-    #[allow(clippy::too_many_arguments)]
-    fn accept_query(
+    /// Hand one input to `node`'s core, then turn the actions it emitted
+    /// into simulator sends, timers, deliveries and trace records.
+    fn step(
         &mut self,
         run: &mut RunState,
         node: NodeId,
-        parent: Option<NodeId>,
-        query_src: &str,
-        language: QueryLanguage,
-        scope: Scope,
-        mode: ResponseMode,
+        input: impl FnOnce(&mut NodeCore, &mut Env<'_>),
     ) {
-        let txn = run.txn;
-        let now = self.sim.now();
-        let node_idx = node.0 as usize;
-        // Retire state whose static loop timeout lapsed — the state-table
-        // entry AND the per-transaction satellites (result ledger, txn
-        // info, pending retransmissions), which previously outlived it and
-        // leaked across transactions.
-        for expired in self.arena.state[node_idx].sweep_expired(now) {
-            self.arena.ledgers[node_idx].forget(expired);
-            self.arena.txns[node_idx].remove(&expired);
-            self.arena.pending_acks[node_idx].retain(|(t, _, _), _| *t != expired);
-        }
-        let parent_sym = parent.map(|p| Sym(p.0));
-        let outcome = self.arena.state[node_idx].begin(txn, parent_sym, now, scope.loop_timeout_ms);
-        if outcome == BeginOutcome::Duplicate {
-            run.metrics.duplicates_suppressed += 1;
-            // Referral fetch: a radius-0 direct query for a transaction we
-            // hold a referral buffer for means "send me your items".
-            let is_fetch = scope.radius == Some(0) && matches!(mode, ResponseMode::Direct { .. });
-            if is_fetch {
-                if let Some(info) = self.arena.txns[node_idx].get_mut(&txn) {
-                    if !info.buffer.is_empty() {
-                        let items = std::mem::take(&mut info.buffer);
-                        let origin = run.origin;
-                        let node_ep = self.endpoints.str(node).to_owned();
-                        self.send_results_to(
-                            run, node, origin, txn, items, true, node_ep, false, false,
-                        );
-                        return;
-                    }
-                }
-            }
-            // A replay from the recorded parent (network duplication, or a
-            // watchdog re-query while we are still working) must be dropped
-            // silently: a prune ack here would mark a live subtree as done.
-            // A duplicate from any other sender is a cross-path arrival and
-            // gets a prune ack so that forwarder never waits on us.
-            let from_recorded_parent = self.arena.state[node_idx]
-                .get(&txn)
-                .is_some_and(|s| s.parent.is_some() && s.parent == parent_sym);
-            if let Some(p) = parent {
-                if !from_recorded_parent {
-                    let node_ep = self.endpoints.str(node).to_owned();
-                    self.send_results_to(
-                        run,
-                        node,
-                        p,
-                        txn,
-                        Vec::new(),
-                        true,
-                        node_ep,
-                        false,
-                        false,
-                    );
-                }
-            }
-            return;
-        }
-
-        self.trace(node, TraceKind::Recv, txn, parent, None);
-
-        // Edge result cache: a routed query carrying a nonzero staleness
-        // bound may be answered from this node's cache — the node replies
-        // with the complete subtree answer it produced for the same query
-        // at an equal-or-wider radius, and the downstream flood never
-        // happens. The lookup enforces the requester's bound, the
-        // populating query's bound, the cache TTL and the registry
-        // mutation epoch, so a served answer is always one the requester
-        // declared acceptable and the local registry has not moved past.
-        let cacheable = self.config.result_cache
-            && scope.result_staleness_ms > 0
-            && matches!(mode, ResponseMode::Routed);
-        if cacheable {
-            let epoch =
-                self.arena.registries[node_idx].peek().map(|r| r.mutation_epoch()).unwrap_or(0);
-            let hit = self.arena.rcaches[node_idx].lookup(
-                query_src,
-                language,
-                scope.radius,
-                now.millis(),
-                scope.result_staleness_ms,
-                epoch,
-            );
-            if let Some(items) = hit {
-                let items: Vec<String> = items.to_vec();
-                run.metrics.cache_served += 1;
-                self.trace(node, TraceKind::CacheServed, txn, None, Some(items.len() as u64));
-                // No evaluation, no forwards: the subtree is complete now.
-                self.arena.state[node_idx].local_done(&txn);
-                match parent {
-                    Some(p) => {
-                        let node_ep = self.endpoints.str(node).to_owned();
-                        self.send_results_to(run, node, p, txn, items, true, node_ep, false, true);
-                    }
-                    None => {
-                        run.saw_cached = true;
-                        self.deliver(run, items);
-                        self.complete_at_origin(run);
-                    }
-                }
-                return;
-            }
-        }
-
-        // Fresh transaction at this node: compile through the node's own
-        // query cache, so repeats of the same query string (later runs,
-        // retransmitted frames, watchdog re-queries) never re-parse.
-        let parsed = self.arena.qcaches[node_idx].get_or_compile(query_src, language);
-        let deadline = match self.config.timeout_mode {
-            TimeoutMode::DynamicAbort => now.plus(scope.abort_timeout_ms),
-            TimeoutMode::StaticPerNode(t) => now.plus(t),
+        let i = node.0 as usize;
+        let mut out = std::mem::take(&mut self.actions);
+        let mut env = Env {
+            cfg: &self.core,
+            node,
+            endpoint: self.endpoints.str(node),
+            now_ms: self.sim.now().millis(),
+            neighbors: self.topology.neighbors(node),
+            peers: &mut self.arena.peers[i],
+            routing: self.routing_index.as_ref(),
+            registry: self.arena.registries[i].peek().map(|r| &**r),
+            metrics: &mut run.metrics,
+            out: &mut out,
         };
-        self.arena.txns[node_idx].insert(
-            txn,
-            TxnInfo {
-                query: parsed,
-                source: Arc::from(query_src),
-                language,
-                scope: scope.clone(),
-                mode: mode.clone(),
-                parent,
-                buffer: Vec::new(),
-                aborted: false,
-                finalized: false,
-                buffer_has_child_items: false,
-                deadline,
-                cache_items: Vec::new(),
-                cache_ok: cacheable,
-                cache_cheap_plan: false,
-                cache_forwarded: false,
-                cache_tainted: false,
-                cache_sources: Vec::new(),
-                accepted_at_ms: now.millis(),
-            },
-        );
-
-        // Local evaluation latency (heterogeneous nodes are slower).
-        let mut eval_delay = self.config.eval_delay_ms.max(1);
-        if self.config.slow_nodes.contains(&node) {
-            eval_delay *= self.config.slow_factor.max(1);
-        }
-        self.schedule_timer(node, eval_delay, TimerEvent::LocalEvalDone { node, txn });
-
-        // Per-node abort timer.
-        match self.config.timeout_mode {
-            TimeoutMode::DynamicAbort => {
-                self.schedule_timer(
-                    node,
-                    scope.abort_timeout_ms,
-                    TimerEvent::NodeAbort { node, txn },
-                );
-            }
-            TimeoutMode::StaticPerNode(t) => {
-                self.schedule_timer(node, t, TimerEvent::NodeAbort { node, txn });
-            }
-        }
-
-        // Forwarding within scope.
-        let Some(forwarded_scope) = scope.forwarded(self.config.hop_cost_ms) else {
-            run.metrics.scope_prunes += 1;
-            return;
-        };
-        let policy = NeighborPolicy::parse(&scope.neighbor_policy);
-        // With breakers enabled they subsume the permanent `suspected`
-        // filter: an open breaker sheds, and a later probe can rehabilitate
-        // the neighbor; suspicion alone never forgives.
-        let breaker_on = self.config.recovery.breaker.enabled;
-        let lifecycle_on = self.config.lifecycle.enabled;
-        // With the lifecycle on, forwarding runs over the node's dynamic
-        // Connected set; at zero churn that set is exactly the sorted
-        // underlay neighbor list, so both paths emit identical forwards.
-        let neighbor_src: &[NodeId] = if lifecycle_on {
-            self.arena.peers[node_idx].connected()
-        } else {
-            self.topology.neighbors(node)
-        };
-        let candidates: Vec<NodeId> = neighbor_src
-            .iter()
-            .copied()
-            .filter(|&c| Some(c) != parent)
-            .filter(|c| breaker_on || !self.arena.suspected[node_idx].contains(c))
-            .collect();
-        let targets = policy.select(&candidates, node, txn, self.routing_index.as_ref());
-        let mut forwarded_any = false;
-        for target in targets {
-            if breaker_on {
-                match self.breaker_decide(node, target, now.millis()) {
-                    ForwardDecision::Forward => {}
-                    ForwardDecision::Shed => {
-                        run.metrics.breaker_sheds += 1;
-                        continue;
+        input(&mut self.arena.cores[i], &mut env);
+        for action in out.drain(..) {
+            match action {
+                Action::Send { to, message } => {
+                    let bytes = encoded_len(&message);
+                    run.metrics.count_message(message.kind(), bytes);
+                    self.sim.send(node, to, message, bytes);
+                }
+                Action::Schedule { delay_ms, jitter, timer } => {
+                    let delay = if jitter { delay_ms + self.jitter_ms() } else { delay_ms };
+                    self.schedule_timer(node, delay, SimTimer::Core(timer));
+                }
+                Action::Evaluate { txn } => {
+                    // Local evaluation latency (heterogeneous nodes are slower).
+                    let mut delay = self.config.eval_delay_ms.max(1);
+                    if self.config.slow_nodes.contains(&node) {
+                        delay *= self.config.slow_factor.max(1);
                     }
-                    ForwardDecision::ShedAndProbe => {
-                        run.metrics.breaker_sheds += 1;
-                        run.metrics.breaker_probes += 1;
-                        let mut m = std::mem::take(&mut run.metrics);
-                        self.send(&mut m, node, target, Message::Ping);
-                        run.metrics = m;
-                        continue;
-                    }
+                    self.schedule_timer(node, delay, SimTimer::Eval(txn));
+                }
+                Action::Deliver { items } => run.results.extend(items),
+                Action::Trace { kind, txn, peer, items } => {
+                    self.trace(node, kind, txn, peer, items)
                 }
             }
-            forwarded_any = true;
-            if lifecycle_on {
-                self.arena.peers[node_idx].note_forward(target);
-            }
-            self.arena.state[node_idx].add_child(&txn, Sym(target.0));
-            self.trace(node, TraceKind::Forward, txn, Some(target), None);
-            let msg = Message::Query {
-                transaction: txn,
-                query: query_src.to_owned(),
-                language,
-                scope: forwarded_scope.clone(),
-                response_mode: mode.clone(),
-            };
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, node, target, msg);
-            run.metrics = m;
         }
-        if forwarded_any {
-            if let Some(info) = self.arena.txns[node_idx].get_mut(&txn) {
-                info.cache_forwarded = true;
-            }
-        }
-        if forwarded_any && self.config.recovery.enabled {
-            let delay = self.config.recovery.watchdog_timeout_ms + self.jitter_ms();
-            self.schedule_timer(node, delay, TimerEvent::ChildWatchdog { node, txn, attempt: 0 });
-        }
+        self.actions = out;
     }
 
-    fn on_timer(&mut self, run: &mut RunState, ev: TimerEvent) {
-        match ev {
-            TimerEvent::LocalEvalDone { node, txn } => self.local_eval(run, node, txn),
-            TimerEvent::NodeAbort { node, txn } => self.node_abort(run, node, txn),
-            TimerEvent::OriginDeadline { txn } => {
-                // The timer always fires eventually (the queue drains);
-                // only a deadline *before* completion is a deadline hit.
-                if run.txn == txn && !run.closed && run.metrics.time_completed.is_none() {
-                    run.closed = true;
-                    run.deadline_hit = true;
-                    self.broadcast_close(run, run.origin, txn);
-                }
-            }
-            TimerEvent::RetryResults { node, txn, to, seq } => {
-                self.retry_results(run, node, txn, to, seq);
-            }
-            TimerEvent::ChildWatchdog { node, txn, attempt } => {
-                self.child_watchdog(run, node, txn, attempt);
-            }
-        }
-    }
-
-    /// A node's local evaluation finished: run the query against its
-    /// registry, then stream, buffer or invite the answer per response
-    /// mode and finalize the node if no children are outstanding.
+    /// A node's evaluation delay elapsed: run the query against its
+    /// registry (materializing a lazy one) and report back to its core.
     fn local_eval(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
-        let node_idx = node.0 as usize;
-        let Some(info) = self.arena.txns[node_idx].get_mut(&txn) else { return };
-        if info.aborted {
-            return;
-        }
-        run.metrics.nodes_evaluated += 1;
-        let registry = self.arena.registries[node_idx].get(&self.arena.factory, node.0);
-        // Shed or partial evaluations are not the query's answer; caching
-        // them would replay the degradation for the whole staleness window.
-        let mut answered = true;
-        let mut cheap_plan = false;
-        let items: Vec<String> = match &info.query {
-            CompiledQuery::XQuery(q) => {
-                // With the node registry's admission gate enabled, local
-                // evaluation is metered against the transaction's remaining
-                // abort budget: a lapsed hop degrades or sheds (counted)
-                // instead of scanning into a dead answer.
-                let outcome = if registry.config().admission.enabled {
-                    let ctx = AdmissionContext::for_client(self.endpoints.str(run.origin))
-                        .with_deadline(info.deadline);
-                    match registry.query_admitted(q, &Freshness::any(), &QueryScope::all(), &ctx) {
-                        Ok(Admission::Answered(o)) => Some(o),
-                        Ok(Admission::Shed { .. }) => {
-                            run.metrics.local_evals_shed += 1;
-                            answered = false;
-                            None
-                        }
-                        Err(_) => None,
-                    }
-                } else {
-                    registry.query(q, &Freshness::any()).ok()
-                };
-                match outcome {
-                    Some(o) => {
-                        run.metrics.record_plan(o.stats.plan);
-                        cheap_plan = o.stats.plan == QueryPlan::Index;
-                        if !o.completeness.is_complete() {
-                            run.metrics.local_evals_degraded += 1;
-                            answered = false;
-                        }
-                        o.results.iter().map(wsda_xq::Item::serialize).collect()
-                    }
-                    None => Vec::new(),
-                }
-            }
-            CompiledQuery::Sql(q) => {
-                wsda_registry::sql::SqlQuery::rows_to_xml(&registry.query_sql(q))
-                    .iter()
-                    .map(|e| e.to_compact_string())
-                    .collect()
-            }
-        };
-        if !answered {
-            info.cache_ok = false;
-        } else {
-            info.cache_cheap_plan = cheap_plan;
-            if info.cache_ok {
-                info.cache_items.extend(items.iter().cloned());
-            }
-        }
-        let (mode, pipeline, parent) = (info.mode.clone(), info.scope.pipeline, info.parent);
-
-        self.trace(node, TraceKind::Eval, txn, None, Some(items.len() as u64));
-        let complete = self.arena.state[node_idx].local_done(&txn);
-
-        if node == run.origin && parent.is_none() {
-            // Originator's own results are delivered immediately.
-            self.deliver(run, items);
-            if complete {
-                self.complete_at_origin(run);
-            }
-            return;
-        }
-
-        match mode {
-            ResponseMode::Routed => {
-                if pipeline && !items.is_empty() && !complete {
-                    let node_ep = self.endpoints.str(node).to_owned();
-                    self.send_results(run, node, parent, txn, items, false, node_ep, false, false);
-                } else {
-                    let info = self.arena.txns[node_idx].get_mut(&txn).expect("live txn");
-                    info.buffer.extend(items);
-                }
-            }
-            ResponseMode::Direct { ref originator } => {
-                if !items.is_empty() {
-                    if let Some(target) = parse_endpoint(originator) {
-                        let node_ep = self.endpoints.str(node).to_owned();
-                        self.send_results_to(
-                            run, node, target, txn, items, true, node_ep, false, false,
-                        );
-                    }
-                }
-            }
-            ResponseMode::Referral => {
-                if !items.is_empty() {
-                    let expected = items.len() as u64;
-                    let info = self.arena.txns[node_idx].get_mut(&txn).expect("live txn");
-                    info.buffer = items;
-                    if let Some(p) = parent {
-                        let node_ep = self.endpoints.str(node).to_owned();
-                        let msg = Message::Invite { transaction: txn, node: node_ep, expected };
-                        let mut m = std::mem::take(&mut run.metrics);
-                        self.send(&mut m, node, p, msg);
-                        run.metrics = m;
-                    }
-                }
-            }
-        }
-        if complete {
-            self.finalize_node(run, node, txn);
-        }
-    }
-
-    /// Send buffered + final results toward the parent; a cleanly
-    /// completed, cache-worthy subtree answer is installed in the node's
-    /// result cache on the way out.
-    fn finalize_node(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
-        let node_idx = node.0 as usize;
-        let Some(info) = self.arena.txns[node_idx].get_mut(&txn) else { return };
-        if info.finalized {
-            return;
-        }
-        info.finalized = true;
-        let parent = info.parent;
-        let mode = info.mode.clone();
-        let relayed = info.buffer_has_child_items;
-        let tainted = info.cache_tainted;
-        let items = if matches!(mode, ResponseMode::Routed) {
-            std::mem::take(&mut info.buffer)
-        } else {
-            Vec::new() // direct/referral finals are pure completion acks
-        };
-        // Admission-aware population (the originator's copy is installed
-        // by `complete_at_origin` from the delivered set instead): a
-        // forwarding node's answer aggregates a whole subtree and is
-        // always worth keeping; a leaf that answered from a pure index
-        // plan re-evaluates cheaply and is not.
-        let populate =
-            parent.is_some() && info.cache_ok && (info.cache_forwarded || !info.cache_cheap_plan);
-        let pop = populate.then(|| {
-            (
-                Arc::clone(&info.source),
-                info.language,
-                info.scope.radius,
-                info.scope.result_staleness_ms,
-                std::mem::take(&mut info.cache_items),
-                std::mem::take(&mut info.cache_sources),
-            )
-        });
-        if let Some((src, language, radius, bound, cache_items, sources)) = pop {
-            let now_ms = self.sim.now().millis();
-            let epoch =
-                self.arena.registries[node_idx].peek().map(|r| r.mutation_epoch()).unwrap_or(0);
-            self.arena.rcaches[node_idx].insert(
-                &src,
-                language,
-                radius,
-                cache_items,
-                now_ms,
-                bound,
-                epoch,
-                &sources,
-            );
-            run.metrics.cache_populated += 1;
-        }
-        match parent {
-            Some(p) => {
-                let node_ep = self.endpoints.str(node).to_owned();
-                self.send_results(run, node, Some(p), txn, items, true, node_ep, relayed, tainted);
-            }
-            None => {
-                // Originator finishing its subtree.
-                self.deliver(run, items);
-                self.complete_at_origin(run);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_results(
-        &mut self,
-        run: &mut RunState,
-        node: NodeId,
-        parent: Option<NodeId>,
-        txn: TransactionId,
-        items: Vec<String>,
-        last: bool,
-        origin_ep: String,
-        relayed: bool,
-        cached: bool,
-    ) {
-        let Some(p) = parent else { return };
-        self.send_results_to(run, node, p, txn, items, last, origin_ep, relayed, cached);
-    }
-
-    /// Send a `Results` frame from `from` to `to`, allocating the
-    /// per-transaction sequence number; with recovery on, the frame is
-    /// tracked for retransmission until acked.
-    #[allow(clippy::too_many_arguments)]
-    fn send_results_to(
-        &mut self,
-        run: &mut RunState,
-        from: NodeId,
-        to: NodeId,
-        txn: TransactionId,
-        items: Vec<String>,
-        last: bool,
-        origin_ep: String,
-        relayed: bool,
-        cached: bool,
-    ) {
-        let from_idx = from.0 as usize;
-        let seq = self.arena.state[from_idx].get_mut(&txn).map(|s| s.alloc_seq()).unwrap_or(0);
-        self.trace(from, TraceKind::Results, txn, Some(to), Some(items.len() as u64));
-        let msg =
-            Message::Results { transaction: txn, seq, items, last, origin: origin_ep, cached };
-        if relayed {
-            run.metrics.bytes_relayed += encoded_len(&msg);
-        }
-        if self.config.recovery.enabled {
-            self.arena.pending_acks[from_idx].insert(
-                (txn, to, seq),
-                PendingFrame {
-                    message: msg.clone(),
-                    retries_left: self.config.recovery.max_retries,
-                    backoff_ms: self.config.recovery.backoff_ms(1),
-                },
-            );
-            let delay = self.config.recovery.ack_timeout_ms + self.jitter_ms();
-            self.schedule_timer(from, delay, TimerEvent::RetryResults { node: from, txn, to, seq });
-        }
-        let mut m = std::mem::take(&mut run.metrics);
-        self.send(&mut m, from, to, msg);
-        run.metrics = m;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_results(
-        &mut self,
-        run: &mut RunState,
-        from: NodeId,
-        to: NodeId,
-        txn: TransactionId,
-        seq: u64,
-        items: Vec<String>,
-        last: bool,
-        origin_ep: String,
-        cached: bool,
-    ) {
-        if txn != run.txn {
-            return; // stale transaction from an earlier run
-        }
-        let node_idx = to.0 as usize;
-        let from_sym = Sym(from.0);
-        if self.config.recovery.enabled {
-            // Ack every arrival (fresh or replay — the sender may have
-            // missed an earlier ack), then suppress replays.
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, to, from, Message::Ack { transaction: txn, seq });
-            run.metrics = m;
-            // Only record streams for transactions this node still tracks:
-            // once the static loop timeout retires a transaction (and the
-            // ledger forgets it), a late retransmission must not re-create
-            // ledger state — ack it and drop.
-            if self.arena.state[node_idx].get(&txn).is_none() {
-                run.metrics.late_results_dropped += items.len() as u64;
-                return;
-            }
-            if !self.arena.ledgers[node_idx].record(txn, from_sym, seq) {
-                run.metrics.replays_suppressed += 1;
-                return;
-            }
-        }
-        if self.config.lifecycle.enabled {
-            // Score the link: result yield and accept-to-result latency
-            // feed the swap scorer's EWMAs.
-            let accepted = self.arena.txns[node_idx].get(&txn).map(|i| i.accepted_at_ms);
-            if let Some(at) = accepted {
-                let latency = self.sim.now().millis().saturating_sub(at);
-                self.arena.peers[node_idx].note_results(from, latency, items.len() as u64);
-            }
-        }
-        let is_origin = to == run.origin;
-
-        if is_origin {
-            // Cache-served data anywhere in the tree means the delivered
-            // set is second-hand — never re-install it at the origin (that
-            // would compound staleness past the F3 bound).
-            if cached {
-                run.saw_cached = true;
-            } else if !run.cache_sources.contains(&from.0) {
-                run.cache_sources.push(from.0);
-            }
-            // Deliver data reaching the originator.
-            if run.closed {
-                run.metrics.late_results_dropped += items.len() as u64;
-            } else {
-                self.deliver(run, items);
-            }
-            // Completion bookkeeping: direct-mode *data* messages carry
-            // last=true for the sender's local data but do not terminate a
-            // tree edge unless the sender is a tracked child.
-            if last {
-                let complete = self.arena.state[node_idx].child_done(&txn, from_sym);
-                if complete {
-                    self.complete_at_origin(run);
-                }
-            }
-            return;
-        }
-
-        // Intermediate node: merge toward parent.
-        let Some(info) = self.arena.txns[node_idx].get_mut(&txn) else { return };
-        let pipeline = info.scope.pipeline;
-        let parent = info.parent;
-        let aborted = info.aborted;
-        let routed = matches!(info.mode, ResponseMode::Routed);
-        if !aborted {
-            if cached {
-                // A child answered from its cache: this node's aggregate is
-                // second-hand, so it must not be re-cached here, and the
-                // taint must travel upward with the relayed frames.
-                info.cache_ok = false;
-                info.cache_tainted = true;
-                info.cache_items.clear();
-                info.cache_sources.clear();
-            } else if info.cache_ok {
-                info.cache_items.extend(items.iter().cloned());
-                if !info.cache_sources.contains(&from.0) {
-                    info.cache_sources.push(from.0);
-                }
-            }
-        }
-        if aborted {
-            run.metrics.late_results_dropped += items.len() as u64;
-        } else if routed && !items.is_empty() {
-            if pipeline {
-                self.send_results(run, to, parent, txn, items, false, origin_ep, true, cached);
-            } else {
-                let info = self.arena.txns[node_idx].get_mut(&txn).expect("live txn");
-                info.buffer.extend(items);
-                info.buffer_has_child_items = true;
-            }
-        }
-        if last {
-            let complete = self.arena.state[node_idx].child_done(&txn, from_sym);
-            if complete && !aborted {
-                self.finalize_node(run, to, txn);
-            }
-        }
-    }
-
-    fn on_invite(
-        &mut self,
-        run: &mut RunState,
-        to: NodeId,
-        txn: TransactionId,
-        node_ep: String,
-        expected: u64,
-    ) {
-        if txn != run.txn {
-            return;
-        }
-        if to == run.origin {
-            // Fetch directly from the inviting node: a radius-0 direct query.
-            run.metrics.referrals_received += 1;
-            let Some(target) = parse_endpoint(&node_ep) else { return };
-            let (query_src, language, scope) = {
-                let Some(info) = self.arena.txns[to.0 as usize].get(&txn) else { return };
-                (info.source.to_string(), info.language, info.scope.clone())
-            };
-            let msg = Message::Query {
-                transaction: txn,
-                query: query_src,
-                language,
-                scope: Scope { radius: Some(0), ..scope },
-                response_mode: ResponseMode::Direct {
-                    originator: self.endpoints.str(run.origin).to_owned(),
-                },
-            };
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, to, target, msg);
-            run.metrics = m;
-            let _ = expected;
-        } else {
-            // Relay the invitation toward the originator.
-            let parent = self.arena.txns[to.0 as usize].get(&txn).and_then(|i| i.parent);
-            if let Some(p) = parent {
-                let msg = Message::Invite { transaction: txn, node: node_ep, expected };
-                run.metrics.bytes_relayed += encoded_len(&msg);
-                let mut m = std::mem::take(&mut run.metrics);
-                self.send(&mut m, to, p, msg);
-                run.metrics = m;
-            }
-        }
-    }
-
-    fn on_close(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
-        if txn != run.txn {
-            return;
-        }
-        if let Some(info) = self.arena.txns[node.0 as usize].get_mut(&txn) {
-            info.aborted = true;
-            info.cache_ok = false;
-            info.cache_items.clear();
-            info.buffer.clear();
-        }
-        self.broadcast_close(run, node, txn);
-    }
-
-    fn broadcast_close(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
-        // `pending_children` is a sorted `Vec<Sym>`, so close fan-out
-        // consumes the chaos RNG in a fixed order. (The pre-arena engine
-        // iterated a `HashSet<String>` here — process-random order, a
-        // latent reproducibility hazard.)
-        let children: Vec<NodeId> = self.arena.state[node.0 as usize]
-            .get(&txn)
-            .map(|s| s.pending_children.iter().map(|sym| NodeId(sym.0)).collect())
-            .unwrap_or_default();
-        self.arena.state[node.0 as usize].close(&txn);
-        self.trace(node, TraceKind::Close, txn, None, None);
-        for child in children {
-            let msg = Message::Close { transaction: txn };
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, node, child, msg);
-            run.metrics = m;
-        }
-    }
-
-    fn node_abort(&mut self, run: &mut RunState, node: NodeId, txn: TransactionId) {
-        let node_idx = node.0 as usize;
-        let complete = self.arena.state[node_idx].get(&txn).map(|s| s.complete()).unwrap_or(true);
-        let Some(info) = self.arena.txns[node_idx].get_mut(&txn) else { return };
-        if complete || info.aborted || info.finalized {
-            return;
-        }
-        info.aborted = true;
-        info.cache_ok = false;
-        run.metrics.node_aborts += 1;
-        let parent = info.parent;
-        let items = std::mem::take(&mut info.buffer);
-        let tainted = info.cache_tainted;
-        info.finalized = true;
-        self.arena.state[node_idx].close(&txn);
-        match parent {
-            Some(_) => {
-                let node_ep = self.endpoints.str(node).to_owned();
-                self.send_results(run, node, parent, txn, items, true, node_ep, false, tainted);
-            }
-            None => {
-                self.deliver(run, items);
-                self.complete_at_origin(run);
-            }
-        }
-    }
-
-    /// A retry timer fired: if the frame is still unacked, retransmit
-    /// with exponential backoff, or give up and suspect the neighbor.
-    fn retry_results(
-        &mut self,
-        run: &mut RunState,
-        node: NodeId,
-        txn: TransactionId,
-        to: NodeId,
-        seq: u64,
-    ) {
-        let node_idx = node.0 as usize;
-        let now_ms = self.sim.now().millis();
-        let step = {
-            let Some(p) = self.arena.pending_acks[node_idx].get_mut(&(txn, to, seq)) else {
-                return; // acked in time
-            };
-            if p.retries_left == 0 {
-                None
-            } else {
-                p.retries_left -= 1;
-                let backoff = p.backoff_ms;
-                p.backoff_ms = backoff.saturating_mul(self.config.recovery.backoff_factor.max(1));
-                Some((p.message.clone(), backoff))
-            }
-        };
-        // Every fired retry timer is one send/ack failure toward `to`.
-        if self.breaker_failure(node, to, now_ms) {
-            run.metrics.breaker_opens += 1;
-        }
-        let Some((message, backoff)) = step else {
-            self.arena.pending_acks[node_idx].remove(&(txn, to, seq));
-            self.arena.suspected[node_idx].insert(to);
-            if self.config.lifecycle.enabled {
-                self.arena.peers[node_idx].note_failure(to);
-            }
-            run.metrics.acks_timed_out += 1;
-            return;
-        };
-        run.metrics.retries_sent += 1;
-        self.trace(node, TraceKind::Retry, txn, Some(to), None);
-        let mut m = std::mem::take(&mut run.metrics);
-        self.send(&mut m, node, to, message);
-        run.metrics = m;
-        let delay = backoff + self.jitter_ms();
-        self.schedule_timer(node, delay, TimerEvent::RetryResults { node, txn, to, seq });
-    }
-
-    /// The child-liveness watchdog fired. Attempt 0 re-sends the query to
-    /// still-silent children (covers lost `Query` frames) and re-arms;
-    /// later attempts abandon them so the subtree finishes Partial
-    /// instead of hanging until the abort budget lapses.
-    fn child_watchdog(
-        &mut self,
-        run: &mut RunState,
-        node: NodeId,
-        txn: TransactionId,
-        attempt: u32,
-    ) {
-        if txn != run.txn {
-            return;
-        }
-        let node_idx = node.0 as usize;
-        // The state table keeps children sorted, so the chaos RNG is
-        // consumed in a fixed order and runs stay reproducible.
-        let pending: Vec<Sym> = self.arena.state[node_idx]
-            .get(&txn)
-            .map(|s| s.pending_children.clone())
-            .unwrap_or_default();
-        if pending.is_empty() {
-            return;
-        }
-        let (parent, source, language, mode, fscope) = {
-            let Some(info) = self.arena.txns[node_idx].get(&txn) else { return };
-            if info.aborted || info.finalized {
-                return;
-            }
-            (
-                info.parent,
-                Arc::clone(&info.source),
-                info.language,
-                info.mode.clone(),
-                info.scope.forwarded(self.config.hop_cost_ms),
-            )
-        };
-        if attempt == 0 {
-            if let Some(fscope) = fscope {
-                for &child_sym in &pending {
-                    let child = NodeId(child_sym.0);
-                    run.metrics.retries_sent += 1;
-                    let msg = Message::Query {
-                        transaction: txn,
-                        query: source.as_ref().to_owned(),
-                        language,
-                        scope: fscope.clone(),
-                        response_mode: mode.clone(),
-                    };
-                    let mut m = std::mem::take(&mut run.metrics);
-                    self.send(&mut m, node, child, msg);
-                    run.metrics = m;
-                }
-            }
-            let delay = self.config.recovery.watchdog_timeout_ms + self.jitter_ms();
-            self.schedule_timer(node, delay, TimerEvent::ChildWatchdog { node, txn, attempt: 1 });
-            return;
-        }
-        // Abandon: the silent subtrees are lost; degrade instead of hang.
-        // The node's answer is now partial — never cache it.
-        if let Some(info) = self.arena.txns[node_idx].get_mut(&txn) {
-            info.cache_ok = false;
-        }
-        run.metrics.subtrees_abandoned += pending.len() as u64;
-        for &child_sym in &pending {
-            let child = NodeId(child_sym.0);
-            self.trace(node, TraceKind::Abandon, txn, Some(child), None);
-            self.arena.suspected[node_idx].insert(child);
-            if self.config.lifecycle.enabled {
-                self.arena.peers[node_idx].note_failure(child);
-            }
-            self.arena.state[node_idx].child_done(&txn, child_sym);
-        }
-        match parent {
-            Some(p) => {
-                let node_ep = self.endpoints.str(node).to_owned();
-                for _ in &pending {
-                    let msg = Message::Error {
-                        transaction: txn,
-                        origin: node_ep.clone(),
-                        reason: "watchdog: subtree lost".to_owned(),
-                    };
-                    let mut m = std::mem::take(&mut run.metrics);
-                    self.send(&mut m, node, p, msg);
-                    run.metrics = m;
-                }
-            }
-            None => run.metrics.errors_received += pending.len() as u64,
-        }
-        let complete = self.arena.state[node_idx].get(&txn).map(|s| s.complete()).unwrap_or(false);
-        if complete {
-            if parent.is_none() {
-                self.complete_at_origin(run);
-            } else {
-                self.finalize_node(run, node, txn);
-            }
-        }
-    }
-
-    /// A lost-subtree notification: count it at the originator, forward
-    /// it toward the originator elsewhere.
-    fn on_error(
-        &mut self,
-        run: &mut RunState,
-        to: NodeId,
-        txn: TransactionId,
-        origin_ep: String,
-        reason: String,
-    ) {
-        if txn != run.txn {
-            return;
-        }
-        if to == run.origin {
-            run.metrics.errors_received += 1;
-            return;
-        }
-        let parent = self.arena.txns[to.0 as usize].get_mut(&txn).map(|i| {
-            // A lost subtree below us means our aggregate is partial.
-            i.cache_ok = false;
-            i.parent
-        });
-        if let Some(Some(p)) = parent {
-            let msg = Message::Error { transaction: txn, origin: origin_ep, reason };
-            let mut m = std::mem::take(&mut run.metrics);
-            self.send(&mut m, to, p, msg);
-            run.metrics = m;
-        }
-    }
-
-    fn deliver(&mut self, run: &mut RunState, items: Vec<String>) {
-        if run.closed {
-            run.metrics.late_results_dropped += items.len() as u64;
-            return;
-        }
-        let origin = run.origin;
-        self.trace(origin, TraceKind::Deliver, run.txn, None, Some(items.len() as u64));
-        let now = self.sim.now();
-        run.metrics.record_delivery(items.len() as u64, now);
-        run.results.extend(items);
-        if let Some(max) = run.max_results {
-            if run.results.len() as u64 >= max && !run.closed {
-                run.closed = true;
-                let origin = run.origin;
-                let txn = run.txn;
-                self.broadcast_close(run, origin, txn);
-            }
-        }
-    }
-
-    fn complete_at_origin(&mut self, run: &mut RunState) {
-        if run.metrics.time_completed.is_none() {
-            let origin_complete = self.arena.state[run.origin.0 as usize]
-                .get(&run.txn)
-                .map(|s| s.complete())
-                .unwrap_or(false);
-            if origin_complete {
-                run.metrics.time_completed = Some(self.sim.now());
-                self.populate_origin_cache(run);
-            }
-        }
-    }
-
-    /// Install the originator's freshly completed answer in its own
-    /// result cache. A routed run that completed cleanly delivered the
-    /// entire tree's answer to the origin, so `run.results` *is* the
-    /// complete result set for (query, radius) — the one thing worth
-    /// caching at hop 0.
-    fn populate_origin_cache(&mut self, run: &mut RunState) {
-        if run.closed || run.saw_cached {
-            return;
-        }
-        let m = &run.metrics;
-        if m.subtrees_abandoned + m.node_aborts + m.errors_received > 0 {
-            return;
-        }
-        let origin_idx = run.origin.0 as usize;
-        let Some(info) = self.arena.txns[origin_idx].get(&run.txn) else { return };
-        // Same admission gate as the intermediate-hop population: a pure
-        // index-plan answer that forwarded nowhere re-evaluates cheaply
-        // and is not worth an entry.
-        if !info.cache_ok || (!info.cache_forwarded && info.cache_cheap_plan) {
-            return;
-        }
-        let src = Arc::clone(&info.source);
-        let language = info.language;
-        let radius = info.scope.radius;
-        let bound = info.scope.result_staleness_ms;
-        let now_ms = self.sim.now().millis();
-        let epoch =
-            self.arena.registries[origin_idx].peek().map(|r| r.mutation_epoch()).unwrap_or(0);
-        self.arena.rcaches[origin_idx].insert(
-            &src,
-            language,
-            radius,
-            run.results.clone(),
-            now_ms,
-            bound,
-            epoch,
-            &run.cache_sources,
-        );
-        run.metrics.cache_populated += 1;
+        let i = node.0 as usize;
+        let Some(job) = self.arena.cores[i].eval_job(txn) else { return };
+        let registry = self.arena.registries[i].get(&self.arena.factory, node.0);
+        let outcome = evaluate_locally(registry, &job, self.endpoints.str(run.origin));
+        self.step(run, node, |core, env| core.on_eval_done(env, txn, outcome));
     }
 }
 
+/// The driver's side of one run: what reached the originator.
 struct RunState {
     origin: NodeId,
     txn: TransactionId,
     results: Vec<String>,
     metrics: QueryMetrics,
-    closed: bool,
-    deadline_hit: bool,
-    max_results: Option<u64>,
-    /// Any cache-served frame reached the origin (or the origin itself
-    /// answered from cache): the delivered set is second-hand and must
-    /// not be re-installed in the origin's result cache.
-    saw_cached: bool,
-    /// Peers whose results reached the origin — the source set attached
-    /// to the origin's cache entry so departures can purge it.
-    cache_sources: Vec<u32>,
 }
 
 impl RunState {
-    fn new(origin: NodeId, txn: TransactionId, max_results: Option<u64>) -> RunState {
-        RunState {
-            origin,
-            txn,
-            results: Vec::new(),
-            metrics: QueryMetrics::default(),
-            closed: false,
-            deadline_hit: false,
-            max_results,
-            saw_cached: false,
-            cache_sources: Vec::new(),
-        }
+    fn new(origin: NodeId, txn: TransactionId) -> RunState {
+        RunState { origin, txn, results: Vec::new(), metrics: QueryMetrics::default() }
     }
 }

@@ -24,10 +24,13 @@
 //! * **containers** — many virtual nodes hosted in few containers with
 //!   cheap intra-container messaging ([`container`]).
 //!
-//! [`engine::SimNetwork`] wires peer nodes (each a full hyper registry +
-//! PDP node state table) onto the `wsda-net` discrete-event simulator and
-//! executes queries while collecting the metrics every evaluation figure
-//! needs.
+//! [`node::NodeCore`] is the PDP node itself: one sans-IO state machine
+//! (loop detection, the three response modes, pipelining, timeouts,
+//! recovery, breakers, the edge result cache) that two drivers run.
+//! [`engine::SimNetwork`] drives it on the `wsda-net` discrete-event
+//! simulator and collects the metrics every evaluation figure needs;
+//! [`live::LiveNetwork`] drives it on peer threads over in-process
+//! channels or real TCP sockets.
 
 pub mod arena;
 pub mod breaker;
@@ -36,6 +39,7 @@ pub mod engine;
 pub mod lifecycle;
 pub mod live;
 pub mod metrics;
+pub mod node;
 pub mod recovery;
 pub mod selection;
 pub mod topology;
@@ -43,12 +47,11 @@ pub mod topology;
 pub use arena::{AliveSet, EndpointTable, TimerSlab};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ForwardDecision};
 pub use container::ContainerAssignment;
-pub use engine::{P2pConfig, QueryRun, SimNetwork, TimeoutMode};
+pub use engine::{P2pConfig, QueryRun, SimNetwork};
 pub use lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
-pub use live::{
-    client_query, client_query_on, LiveNetwork, LiveQueryReport, LiveStats, StandalonePeer,
-};
+pub use live::{client_query, client_query_on, LiveNetwork, LiveQueryReport, StandalonePeer};
 pub use metrics::QueryMetrics;
+pub use node::TimeoutMode;
 pub use recovery::{Completeness, RecoveryConfig};
 pub use selection::{LinkStats, NeighborPolicy, NodeKinds, RoutingIndex};
 pub use topology::Topology;

@@ -2,11 +2,19 @@
 //!
 //! Where [`crate::engine`] runs node logic single-threaded under virtual
 //! time for measurement, `LiveNetwork` runs **one OS thread per peer**,
-//! exchanging length-framed PDP messages over the crossbeam transport —
-//! the closest in-process analogue of the original's servents talking
-//! over TCP. It exercises the same protocol elements: node state tables
-//! for loop detection, routed pipelined responses, completion by final
-//! acks, and scope radius.
+//! exchanging length-framed PDP messages over a [`FrameTransport`] — the
+//! in-process channel transport, or real TCP sockets. Every peer runs the
+//! same [`NodeCore`] as the simulator, so it speaks the same protocol:
+//! loop detection, pipelining or store-and-forward, neighbor-selection
+//! policies, abort timeouts and the edge result cache (the client issues
+//! routed queries).
+//!
+//! This module is the live driver for that core. It owns what only real
+//! peers have: the thread and its inbox, frame encoding, a timer heap on
+//! the wall clock, seeded retry jitter, evaluation right after a frame's
+//! forwards leave, the trace ring and the state-size gauges. Its fixed
+//! protocol choices are constants, not options: no modeled hop cost, the
+//! peer lifecycle always on, dynamic abort timeouts.
 //!
 //! Failure is the norm here too: peers can be [`LiveNetwork::kill`]ed
 //! (they stop processing but their inbox stays open, like a hung
@@ -24,20 +32,18 @@
 //! fresh thread rejoins the overlay. P2P runtime state (state table,
 //! ledger, pending acks, breakers) is deliberately lost — exactly what a
 //! real process restart would lose.
-//!
-//! The implementation is intentionally a *subset* of the simulator engine
-//! (routed + pipelined responses only); its purpose is to prove the
-//! protocol works under real concurrency, which the deterministic
-//! simulator cannot show.
 
-use crate::breaker::{CircuitBreaker, ForwardDecision};
+use crate::engine::publish_corpus;
 use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
+use crate::metrics::QueryMetrics;
+use crate::node::{evaluate_locally, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer};
 use crate::recovery::{Completeness, RecoveryConfig};
 use crate::topology::Topology;
 use bytes::BytesMut;
 use crossbeam::channel::RecvTimeoutError;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,14 +58,11 @@ use wsda_obs::{
 };
 use wsda_pdp::framing::{frame_is_query, write_frame, FrameReader};
 use wsda_pdp::{
-    BeginOutcome, CompiledQuery, Message, NodeStateTable, QueryCache, QueryLanguage, ResponseMode,
-    ResultCache, ResultLedger, Scope, Sym, TransactionId,
+    Message, QueryLanguage, ResponseMode, ResultCache, ResultLedger, Scope, Sym, TransactionId,
 };
 use wsda_registry::clock::SystemClock;
-use wsda_registry::workload::CorpusGenerator;
 use wsda_registry::{
-    Freshness, HyperRegistry, PersistenceConfig, PublishRequest, QueryPlan, RecoveryReport,
-    RegistryConfig, RegistryError,
+    HyperRegistry, PersistenceConfig, RecoveryReport, RegistryConfig, RegistryError,
 };
 
 type Frame = Vec<u8>;
@@ -86,34 +89,11 @@ pub struct LiveQueryReport {
     pub transaction: TransactionId,
 }
 
-/// Overload-protection counters aggregated across every live peer.
-/// Snapshot via [`LiveNetwork::stats`]; every shed is counted, never
-/// silent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Query forwards shed because the neighbor's circuit breaker was
-    /// open.
-    pub breaker_sheds: u64,
-    /// Breaker open transitions (consecutive send/ack failures).
-    pub breaker_opens: u64,
-    /// Half-open probe `Ping`s sent.
-    pub breaker_probes: u64,
-    /// Queries answered from a peer's edge result cache (no evaluation,
-    /// no downstream flood).
-    pub result_cache_hits: u64,
-    /// Complete subtree answers installed in a peer's result cache.
-    pub result_cache_insertions: u64,
-    /// Scored neighbor swaps applied by [`LiveNetwork::swap_round`].
-    pub swaps: u64,
-    /// Re-bootstraps: peers that rebuilt an empty Connected set when
-    /// (re)joining the overlay.
-    pub rebootstraps: u64,
-}
-
-/// Shared counter handles behind [`LiveStats`]; the same atomics are
-/// registered with the network's [`MetricsRegistry`] for unified export.
-#[derive(Default)]
-struct LiveStatsInner {
+/// Network-wide protocol counters, registered with the metrics registry
+/// under their family names. Peer threads move each input's counts in;
+/// the control plane counts swaps and re-bootstraps.
+#[derive(Clone)]
+struct Counters {
     breaker_sheds: Counter,
     breaker_opens: Counter,
     breaker_probes: Counter,
@@ -123,23 +103,47 @@ struct LiveStatsInner {
     rebootstraps: Counter,
 }
 
-/// Per-peer state-size gauge handles, updated by the peer thread and read
-/// through the network's [`MetricsRegistry`] — live visibility into the
-/// state the leak fixes keep bounded.
-struct PeerGauges {
-    ledger_streams: Gauge,
-    state_entries: Gauge,
-    live_txns: Gauge,
-    pending_acks: Gauge,
-    qcache_parses: Gauge,
-    qcache_hits: Gauge,
-    qcache_evictions: Gauge,
-    rcache_entries: Gauge,
-    peers_identified: Gauge,
-    peers_pending: Gauge,
-    peers_connected: Gauge,
-    peers_departed: Gauge,
+impl Counters {
+    fn register(metrics: &MetricsRegistry) -> Counters {
+        Counters {
+            breaker_sheds: metrics.counter("updf_breaker_sheds_total"),
+            breaker_opens: metrics.counter("updf_breaker_opens_total"),
+            breaker_probes: metrics.counter("updf_breaker_probes_total"),
+            result_cache_hits: metrics.counter("updf_result_cache_hits_total"),
+            result_cache_insertions: metrics.counter("updf_result_cache_insertions_total"),
+            swaps: metrics.counter("updf_swaps_total"),
+            rebootstraps: metrics.counter("updf_rebootstraps_total"),
+        }
+    }
+
+    /// Add one input's protocol counts and reset its accumulator.
+    fn absorb(&self, m: &mut QueryMetrics) {
+        self.breaker_sheds.add(m.breaker_sheds);
+        self.breaker_opens.add(m.breaker_opens);
+        self.breaker_probes.add(m.breaker_probes);
+        self.result_cache_hits.add(m.cache_served);
+        self.result_cache_insertions.add(m.cache_populated);
+        *m = QueryMetrics::default();
+    }
 }
+
+/// Per-peer state-size gauge families, registered as `name{node="n<i>"}`
+/// and published by the peer thread in this order — live visibility into
+/// the state the leak fixes keep bounded.
+const PEER_GAUGES: [&str; 12] = [
+    "updf_ledger_streams",
+    "updf_state_entries",
+    "updf_live_txns",
+    "updf_pending_acks",
+    "updf_query_cache_parses",
+    "updf_query_cache_hits",
+    "updf_query_cache_evictions",
+    "updf_result_cache_entries",
+    "updf_peers_identified",
+    "updf_peers_pending",
+    "updf_peers_connected",
+    "updf_peers_departed",
+];
 
 /// Capacity of each live peer's trace ring.
 const TRACE_CAPACITY: usize = 4096;
@@ -160,7 +164,7 @@ pub struct LiveNetwork {
     txn_counter: u64,
     seed: u64,
     recovery: RecoveryConfig,
-    stats: Arc<LiveStatsInner>,
+    counters: Counters,
     metrics: Arc<MetricsRegistry>,
     traces: Vec<SharedTraceBuffer>,
     /// Wall clock shared by every peer's registry; restarts reuse it so the
@@ -274,16 +278,8 @@ impl LiveNetwork {
         transport.set_sheddable_frames(Arc::new(|f: &[u8]| frame_is_query(f)));
         let shutdown = Arc::new(AtomicBool::new(false));
         let clock = Arc::new(SystemClock::new());
-        let stats = Arc::new(LiveStatsInner::default());
         let metrics = Arc::new(MetricsRegistry::new());
-        metrics.register_counter("updf_breaker_sheds_total", &stats.breaker_sheds);
-        metrics.register_counter("updf_breaker_opens_total", &stats.breaker_opens);
-        metrics.register_counter("updf_breaker_probes_total", &stats.breaker_probes);
-        metrics.register_counter("updf_result_cache_hits_total", &stats.result_cache_hits);
-        metrics
-            .register_counter("updf_result_cache_insertions_total", &stats.result_cache_insertions);
-        metrics.register_counter("updf_swaps_total", &stats.swaps);
-        metrics.register_counter("updf_rebootstraps_total", &stats.rebootstraps);
+        let counters = Counters::register(&metrics);
         transport.export_metrics(&metrics);
         let epoch = Instant::now();
         let mut registries = Vec::with_capacity(topology.len());
@@ -311,18 +307,7 @@ impl LiveNetwork {
                 None => (Arc::new(HyperRegistry::new(config, clock.clone())), false),
             };
             if !recovered {
-                let mut generator = CorpusGenerator::new(seed ^ (i as u64).wrapping_mul(0x9e37));
-                for _ in 0..tuples_per_node {
-                    let (link, _, domain, content) = generator.next_service();
-                    registry
-                        .publish(
-                            PublishRequest::new(&link, "service")
-                                .with_context(domain)
-                                .with_ttl_ms(u64::MAX / 8)
-                                .with_content(content),
-                        )
-                        .expect("synthetic publish");
-                }
+                publish_corpus(&registry, seed, i, tuples_per_node);
             }
             registry.stats().export_into(&metrics, &format!("n{i}"));
             registries.push(registry);
@@ -345,7 +330,7 @@ impl LiveNetwork {
             txn_counter: 0,
             seed,
             recovery,
-            stats,
+            counters,
             metrics,
             traces,
             clock,
@@ -373,7 +358,7 @@ impl LiveNetwork {
         let peer = PeerThread {
             id,
             endpoint: Arc::from(format!("n{i}")),
-            client_id: self.client_id,
+            cfg: live_core(self.recovery, self.client_id),
             peers: self.peer_tables[i].clone(),
             sweeps: self.sweeps[i].clone(),
             registry: self.registries[i].clone(),
@@ -381,8 +366,7 @@ impl LiveNetwork {
             shutdown: self.shutdown.clone(),
             dead: self.peer_dead[i].clone(),
             exit: self.peer_exit[i].clone(),
-            recovery: self.recovery,
-            stats: self.stats.clone(),
+            counters: self.counters.clone(),
             epoch: self.epoch,
             jitter_state: Cell::new(
                 (self.seed ^ u64::from(id.0).wrapping_mul(0x9e3779b97f4a7c15)) | 1,
@@ -439,19 +423,6 @@ impl LiveNetwork {
         Ok(report)
     }
 
-    /// Overload-protection counters aggregated across every peer.
-    pub fn stats(&self) -> LiveStats {
-        LiveStats {
-            breaker_sheds: self.stats.breaker_sheds.get(),
-            breaker_opens: self.stats.breaker_opens.get(),
-            breaker_probes: self.stats.breaker_probes.get(),
-            result_cache_hits: self.stats.result_cache_hits.get(),
-            result_cache_insertions: self.stats.result_cache_insertions.get(),
-            swaps: self.stats.swaps.get(),
-            rebootstraps: self.stats.rebootstraps.get(),
-        }
-    }
-
     /// The unified metrics registry: every peer's hyper-registry counters
     /// (admission, planner, pulls), breaker counters, transport inbox-drop
     /// counters and per-peer state-size gauges. Render with
@@ -463,16 +434,14 @@ impl LiveNetwork {
 
     /// Reassemble the query tree for `txn` from every peer's trace ring.
     pub fn assemble_trace(&self, txn: TransactionId) -> QueryTrace {
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for buf in &self.traces {
-            let buf = buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            events.extend(buf.for_txn(txn.0));
-            dropped += buf.dropped();
-        }
-        let mut trace = QueryTrace::assemble(txn.0, events);
-        trace.dropped = dropped;
+        let mut trace = QueryTrace::assemble(txn.0, self.trace_events(txn));
+        trace.dropped = self.traces.iter().map(|b| lock(b).dropped()).sum();
         trace
+    }
+
+    /// Every peer's recorded trace events for `txn`, peer by peer.
+    pub fn trace_events(&self, txn: TransactionId) -> Vec<TraceEvent> {
+        self.traces.iter().flat_map(|b| lock(b).for_txn(txn.0)).collect()
     }
 
     /// Frames the transport dropped on inbox overflow, by lane.
@@ -574,7 +543,7 @@ impl LiveNetwork {
         let want = self.topology.neighbors(node).len().max(1);
         let picks = table.rebootstrap(want, now_ms, |p| !self.departed[p.0 as usize]);
         if !picks.is_empty() {
-            self.stats.rebootstraps.inc();
+            self.counters.rebootstraps.inc();
         }
         for &p in &picks {
             lock(&self.peer_tables[p.0 as usize]).connect(node, now_ms);
@@ -610,7 +579,7 @@ impl LiveNetwork {
             lock(&self.peer_tables[i]).swap(evict, admit, now_ms);
             lock(&self.peer_tables[evict.0 as usize]).apply(node, PeerEvent::Demote, now_ms);
             lock(&self.peer_tables[admit.0 as usize]).connect(node, now_ms);
-            self.stats.swaps.inc();
+            self.counters.swaps.inc();
             self.record_lifecycle(node, TraceKind::Swap, Some(admit), u64::from(evict.0));
             applied += 1;
         }
@@ -837,18 +806,7 @@ impl StandalonePeer {
         let clock = Arc::new(SystemClock::new());
         let config = RegistryConfig { max_ttl_ms: u64::MAX / 4, ..Default::default() };
         let registry = Arc::new(HyperRegistry::new(config, clock));
-        let mut generator = CorpusGenerator::new(seed ^ u64::from(id.0).wrapping_mul(0x9e37));
-        for _ in 0..tuples_per_node {
-            let (link, _, domain, content) = generator.next_service();
-            registry
-                .publish(
-                    PublishRequest::new(&link, "service")
-                        .with_context(domain)
-                        .with_ttl_ms(u64::MAX / 8)
-                        .with_content(content),
-                )
-                .expect("synthetic publish");
-        }
+        publish_corpus(&registry, seed, id.0, tuples_per_node);
         let metrics = Arc::new(MetricsRegistry::new());
         registry.stats().export_into(&metrics, &format!("n{}", id.0));
         transport.export_metrics(&metrics);
@@ -860,7 +818,7 @@ impl StandalonePeer {
         let peer = PeerThread {
             id,
             endpoint: Arc::from(format!("n{}", id.0)),
-            client_id,
+            cfg: live_core(recovery, client_id),
             peers: Arc::new(Mutex::new(PeerTable::seeded(neighbors, 0))),
             sweeps: Arc::new(Mutex::new(Vec::new())),
             registry: registry.clone(),
@@ -868,8 +826,7 @@ impl StandalonePeer {
             shutdown: shutdown.clone(),
             dead: Arc::new(AtomicBool::new(false)),
             exit: Arc::new(AtomicBool::new(false)),
-            recovery,
-            stats: Arc::new(LiveStatsInner::default()),
+            counters: Counters::register(&metrics),
             epoch: Instant::now(),
             jitter_state: Cell::new((seed ^ u64::from(id.0).wrapping_mul(0x9e3779b97f4a7c15)) | 1),
             trace: shared_buffer(TRACE_CAPACITY),
@@ -914,22 +871,8 @@ fn send(transport: &dyn FrameTransport, from: NodeId, to: NodeId, message: &Mess
 }
 
 /// Per-peer state-size gauge handles registered under `node="n<i>"`.
-fn peer_gauges(metrics: &MetricsRegistry, id: NodeId) -> PeerGauges {
-    let i = id.0;
-    PeerGauges {
-        ledger_streams: metrics.gauge(&format!("updf_ledger_streams{{node=\"n{i}\"}}")),
-        state_entries: metrics.gauge(&format!("updf_state_entries{{node=\"n{i}\"}}")),
-        live_txns: metrics.gauge(&format!("updf_live_txns{{node=\"n{i}\"}}")),
-        pending_acks: metrics.gauge(&format!("updf_pending_acks{{node=\"n{i}\"}}")),
-        qcache_parses: metrics.gauge(&format!("updf_query_cache_parses{{node=\"n{i}\"}}")),
-        qcache_hits: metrics.gauge(&format!("updf_query_cache_hits{{node=\"n{i}\"}}")),
-        qcache_evictions: metrics.gauge(&format!("updf_query_cache_evictions{{node=\"n{i}\"}}")),
-        rcache_entries: metrics.gauge(&format!("updf_result_cache_entries{{node=\"n{i}\"}}")),
-        peers_identified: metrics.gauge(&format!("updf_peers_identified{{node=\"n{i}\"}}")),
-        peers_pending: metrics.gauge(&format!("updf_peers_pending{{node=\"n{i}\"}}")),
-        peers_connected: metrics.gauge(&format!("updf_peers_connected{{node=\"n{i}\"}}")),
-        peers_departed: metrics.gauge(&format!("updf_peers_departed{{node=\"n{i}\"}}")),
-    }
+fn peer_gauges(metrics: &MetricsRegistry, id: NodeId) -> Vec<Gauge> {
+    PEER_GAUGES.iter().map(|name| metrics.gauge(&format!("{name}{{node=\"n{}\"}}", id.0))).collect()
 }
 
 /// One seeded xorshift64 draw in `[0, max_ms]` (0 when `max_ms == 0`).
@@ -959,15 +902,30 @@ fn encode_frame(message: &Message) -> Frame {
     buf.to_vec()
 }
 
+/// The live driver's fixed protocol choices: real links have no modeled
+/// hop cost, every peer runs the lifecycle, dynamic abort timeouts, an edge
+/// result cache and a trace ring, and frames from the client's transport
+/// id are injected queries.
+fn live_core(recovery: RecoveryConfig, client: NodeId) -> CoreConfig {
+    CoreConfig {
+        hop_cost_ms: 0,
+        timeout_mode: TimeoutMode::DynamicAbort,
+        recovery,
+        result_cache: true,
+        lifecycle: true,
+        trace: true,
+        client: Some(client),
+    }
+}
+
+/// How long an idle peer sleeps before re-checking its switches.
+const IDLE_POLL: Duration = Duration::from_millis(10);
+
 struct PeerThread {
     id: NodeId,
-    /// This peer's endpoint name, built once at spawn — the hot paths
-    /// (every trace event, every `Results`/`Error` origin field) used to
-    /// re-format it per message.
+    /// This peer's endpoint name, built once at spawn.
     endpoint: Arc<str>,
-    /// The query client's transport id (one past the last peer id) —
-    /// frames from it are injected queries, not overlay traffic.
-    client_id: NodeId,
+    cfg: CoreConfig,
     /// This peer's lifecycle table: the Connected set it forwards over.
     /// Shared with the control plane (swap rounds, leave referrals).
     peers: Arc<Mutex<PeerTable>>,
@@ -983,92 +941,42 @@ struct PeerThread {
     /// Exit switch for this one thread (set by `restart_from_disk` so the
     /// old incarnation can be joined without shutting the network down).
     exit: Arc<AtomicBool>,
-    recovery: RecoveryConfig,
-    stats: Arc<LiveStatsInner>,
-    /// Process epoch: circuit breakers count milliseconds from here.
+    counters: Counters,
+    /// Process epoch: the core's clock counts milliseconds from here.
     epoch: Instant,
     /// Per-peer xorshift state for retry jitter (thread-confined).
     jitter_state: Cell<u64>,
     /// This peer's bounded trace ring (read by the network handle).
     trace: SharedTraceBuffer,
-    /// State-size gauges published through the network's metrics registry.
-    gauges: PeerGauges,
+    /// Handles for [`PEER_GAUGES`], published through the network's
+    /// metrics registry.
+    gauges: Vec<Gauge>,
 }
 
-struct LiveTxn {
-    parent: Option<NodeId>,
-    pending_children: HashSet<NodeId>,
-    local_done: bool,
-    next_seq: u64,
-    /// Query source kept for watchdog re-queries.
-    query: String,
-    /// Scope to forward with on a re-query (None = scope exhausted).
-    fscope: Option<Scope>,
-    /// When the child watchdog next fires.
-    watchdog_at: Instant,
-    /// One re-query round already spent.
-    requeried: bool,
-    /// Accumulates this peer's complete subtree answer (local + child
-    /// items) for result-cache population; only fed while `cache_ok`.
-    cache_items: Vec<String>,
-    /// May the finished answer be installed in the result cache? True
-    /// only for queries carrying a nonzero staleness bound whose local
-    /// evaluation was complete, no forward was shed, and the
-    /// admission rule holds (forwarded, or a non-trivial local plan);
-    /// falsified by anything that makes the answer partial or
-    /// second-hand (lost subtrees, relayed errors, cached child frames).
-    cache_ok: bool,
-    /// A child's results arrived cache-served: outgoing frames carry the
-    /// `cached` provenance flag upward.
-    cache_tainted: bool,
-    /// Radius the query arrived with (the cache entry's coverage).
-    cache_radius: Option<u32>,
-    /// The originating query's staleness bound — the entry's freshness
-    /// ceiling, however lenient later requesters are.
-    cache_bound: u64,
-    /// Distinct child peers whose (first-hand) results fed `cache_items` —
-    /// the cache entry's provenance, so a departed peer's contributions
-    /// can be purged.
-    cache_sources: Vec<u32>,
-    /// Epoch-ms when this peer accepted the query (link-latency scoring).
-    accepted_at_ms: u64,
-}
-
-/// A sent-but-unacked `Results` frame.
-struct PendingLive {
-    frame: Frame,
-    to: NodeId,
-    due: Instant,
-    retries_left: u32,
-    backoff: Duration,
-}
-
-/// Mutable per-peer runtime state (single-threaded within the peer).
-#[derive(Default)]
-struct PeerRt {
-    state: NodeStateTable,
-    live: HashMap<TransactionId, LiveTxn>,
-    ledger: ResultLedger,
-    pending: HashMap<(TransactionId, NodeId, u64), PendingLive>,
-    suspected: HashSet<NodeId>,
-    /// Per-neighbor circuit breakers: repeated send/ack failures open the
-    /// circuit and forwards to that neighbor are shed at source.
-    breakers: HashMap<NodeId, CircuitBreaker>,
-    /// Per-peer compiled-query cache: handling the same query string again
-    /// (another hop's forward, a watchdog re-query, a retransmitted frame)
-    /// reuses the compiled form instead of re-parsing.
-    qcache: QueryCache,
-    /// Per-peer edge result cache: a repeated query carrying a nonzero
-    /// staleness bound is answered from here at hop 1 — no evaluation,
-    /// no downstream flood.
-    rcache: ResultCache,
+/// The peer thread's mutable half: its node core, the timer heap, and
+/// the buffers that carry the core's actions out.
+struct PeerLoop {
+    core: NodeCore,
+    /// Armed timers by due time (the core's clock, in ms), then arming
+    /// order.
+    timers: BinaryHeap<Reverse<(u64, u64, Timer)>>,
+    armed: u64,
+    evals: Vec<TransactionId>,
+    metrics: QueryMetrics,
+    out: Vec<Action>,
 }
 
 impl PeerThread {
     fn run(self, inbox: Inbox<Frame>) {
-        let mut rt = PeerRt { state: NodeStateTable::new(), ..Default::default() };
+        let mut st = PeerLoop {
+            core: NodeCore::new(ResultCache::DEFAULT_CAPACITY, ResultCache::DEFAULT_TTL_MS),
+            timers: BinaryHeap::new(),
+            armed: 0,
+            evals: Vec::new(),
+            metrics: QueryMetrics::default(),
+            out: Vec::new(),
+        };
         let mut reader = FrameReader::new();
-        let clock = SystemClock::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) || self.exit.load(Ordering::SeqCst) {
                 return;
@@ -1079,617 +987,139 @@ impl PeerThread {
                 std::thread::sleep(Duration::from_millis(5));
                 continue;
             }
-            match inbox.recv_timeout(Duration::from_millis(10)) {
+            let wait = st.timers.peek().map_or(IDLE_POLL, |Reverse((due, ..))| {
+                Duration::from_millis(due.saturating_sub(self.now_ms())).min(IDLE_POLL)
+            });
+            match inbox.recv_timeout(wait) {
                 Ok(envelope) => {
                     reader.extend(&envelope.message);
                     while let Ok(Some(message)) = reader.next_message() {
-                        self.handle(&mut rt, &clock, envelope.from, message);
+                        self.input(&mut st, |core, env| core.on_frame(env, envelope.from, message));
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
-            if self.recovery.enabled {
-                self.tick(&mut rt);
+            let now = self.now_ms();
+            while st.timers.peek().is_some_and(|Reverse((due, ..))| *due <= now) {
+                let Some(Reverse((_, _, timer))) = st.timers.pop() else { break };
+                self.input(&mut st, |core, env| core.on_timer(env, timer));
             }
-            // Drain the departure queue: mark each leaver Departed in the
-            // lifecycle table and sweep every per-peer runtime entry it
-            // still occupies (cache provenance, acks, ledger streams,
-            // suspicion, breaker) so departed state cannot accumulate.
+            // Drain the departure queue: the core marks each leaver
+            // Departed and sweeps every per-peer entry it still occupies.
             let gone: Vec<NodeId> = std::mem::take(&mut *lock(&self.sweeps));
             for peer in gone {
-                let now_ms = self.epoch.elapsed().as_millis() as u64;
-                if lock(&self.peers).depart(peer, now_ms) {
-                    rt.rcache.purge_source(peer.0);
-                    rt.ledger.forget_sender(Sym(peer.0));
-                    rt.pending.retain(|(_, to, _), _| *to != peer);
-                    rt.suspected.remove(&peer);
-                    rt.breakers.remove(&peer);
-                    self.trace_event(TraceKind::Leave, TransactionId(0), |ev| {
-                        ev.with_peer(format!("n{}", peer.0))
-                    });
+                if st.core.on_peer_departed(&mut lock(&self.peers), peer, self.now_ms()) {
+                    self.record(TraceKind::Leave, TransactionId(0), Some(peer), None);
                 }
             }
-            // Publish state sizes: the leak regression tests (and any
-            // scrape) read these through the network's metrics registry.
-            self.gauges.ledger_streams.set(rt.ledger.streams() as u64);
-            self.gauges.state_entries.set(rt.state.len() as u64);
-            self.gauges.live_txns.set(rt.live.len() as u64);
-            self.gauges.pending_acks.set(rt.pending.len() as u64);
-            self.gauges.qcache_parses.set(rt.qcache.parses());
-            self.gauges.qcache_hits.set(rt.qcache.hits());
-            self.gauges.qcache_evictions.set(rt.qcache.evictions());
-            self.gauges.rcache_entries.set(rt.rcache.len() as u64);
-            {
-                let t = lock(&self.peers);
-                self.gauges.peers_identified.set(t.identified() as u64);
-                self.gauges.peers_pending.set(t.count(PeerState::Pending) as u64);
-                self.gauges.peers_connected.set(t.count(PeerState::Connected) as u64);
-                self.gauges.peers_departed.set(t.count(PeerState::Departed) as u64);
-            }
+            self.publish_gauges(&st.core);
         }
     }
 
-    /// Run `f` against this peer's lifecycle table under its lock.
-    fn with_peers<R>(&self, f: impl FnOnce(&mut PeerTable) -> R) -> R {
-        f(&mut lock(&self.peers))
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
+    }
+
+    /// Hand one input to the core, carry out its actions, then run the
+    /// local evaluations it asked for — after its forwards have left.
+    fn input(&self, st: &mut PeerLoop, input: impl FnOnce(&mut NodeCore, &mut Env<'_>)) {
+        self.call(st, input);
+        while let Some(txn) = st.evals.pop() {
+            let Some(job) = st.core.eval_job(txn) else { continue };
+            let outcome = evaluate_locally(&self.registry, &job, &self.endpoint);
+            self.call(st, |core, env| core.on_eval_done(env, txn, outcome));
+        }
+    }
+
+    fn call(&self, st: &mut PeerLoop, input: impl FnOnce(&mut NodeCore, &mut Env<'_>)) {
+        {
+            let mut peers = lock(&self.peers);
+            let mut env = Env {
+                cfg: &self.cfg,
+                node: self.id,
+                endpoint: &self.endpoint,
+                now_ms: self.now_ms(),
+                neighbors: &[],
+                peers: &mut peers,
+                routing: None,
+                registry: Some(&self.registry),
+                metrics: &mut st.metrics,
+                out: &mut st.out,
+            };
+            input(&mut st.core, &mut env);
+        }
+        // Count before anything leaves: whoever sees a reply finds the
+        // counters that explain it already updated.
+        self.counters.absorb(&mut st.metrics);
+        for action in st.out.drain(..) {
+            match action {
+                Action::Send { to, message } => send(&*self.transport, self.id, to, &message),
+                Action::Schedule { delay_ms, jitter, timer } => {
+                    let extra = if jitter {
+                        draw_jitter_ms(&self.jitter_state, self.cfg.recovery.jitter_ms)
+                    } else {
+                        0
+                    };
+                    st.armed += 1;
+                    st.timers.push(Reverse((self.now_ms() + delay_ms + extra, st.armed, timer)));
+                }
+                Action::Evaluate { txn } => st.evals.push(txn),
+                // Live peers never originate: the client sits outside the
+                // overlay and the entry peer answers it as its parent.
+                Action::Deliver { .. } => {}
+                Action::Trace { kind, txn, peer, items } => self.record(kind, txn, peer, items),
+            }
+        }
     }
 
     /// Record a hop-level trace event in this peer's ring.
-    fn trace_event(
+    fn record(
         &self,
         kind: TraceKind,
         txn: TransactionId,
-        f: impl FnOnce(TraceEvent) -> TraceEvent,
+        peer: Option<NodeId>,
+        items: Option<u64>,
     ) {
-        let at = self.epoch.elapsed().as_millis() as u64;
-        let ev = f(TraceEvent::new(txn.0, self.endpoint.as_ref().to_owned(), kind, at));
-        self.trace.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record(ev);
+        let mut ev = TraceEvent::new(txn.0, self.endpoint.as_ref(), kind, self.now_ms());
+        if let Some(p) = peer {
+            ev = ev.with_peer(format!("n{}", p.0));
+        }
+        if let Some(n) = items {
+            ev = ev.with_items(n);
+        }
+        lock(&self.trace).record(ev);
     }
 
-    fn handle(&self, rt: &mut PeerRt, clock: &SystemClock, from: NodeId, message: Message) {
-        use wsda_registry::clock::Clock as _;
-        // Any frame from an overlay peer is proof of life: standing
-        // suspicion is dropped, and an open breaker moves to half-open
-        // with an immediate probe — so a restarted or rejoined peer is
-        // rehabilitated as soon as it speaks, not only after the cooldown.
-        if from != self.client_id {
-            rt.suspected.remove(&from);
-            let now_ms = self.epoch.elapsed().as_millis() as u64;
-            if rt.breakers.get_mut(&from).is_some_and(|b| b.note_contact(now_ms)) {
-                self.stats.breaker_probes.inc();
-                send(&*self.transport, self.id, from, &Message::Ping);
-            }
+    /// Publish state sizes: the leak regression tests (and any scrape)
+    /// read these through the network's metrics registry.
+    fn publish_gauges(&self, core: &NodeCore) {
+        let t = lock(&self.peers);
+        let values = [
+            core.ledger_streams() as u64,
+            core.state_entries() as u64,
+            core.txns() as u64,
+            core.pending_acks() as u64,
+            core.query_cache().parses(),
+            core.query_cache().hits(),
+            core.query_cache().evictions(),
+            core.result_cache().len() as u64,
+            t.identified() as u64,
+            t.count(PeerState::Pending) as u64,
+            t.count(PeerState::Connected) as u64,
+            t.count(PeerState::Departed) as u64,
+        ];
+        for (gauge, value) in self.gauges.iter().zip(values) {
+            gauge.set(value);
         }
-        match message {
-            Message::Query { transaction, query, scope, .. } => {
-                let now = clock.now();
-                // Retire everything keyed by an expired transaction in the
-                // same breath as the state-table sweep; sweeping only the
-                // table leaks ledger streams and pending retransmissions.
-                for expired in rt.state.sweep_expired(now) {
-                    rt.ledger.forget(expired);
-                    rt.live.remove(&expired);
-                    rt.pending.retain(|(t, _, _), _| *t != expired);
-                }
-                match rt.state.begin(transaction, Some(Sym(from.0)), now, scope.loop_timeout_ms) {
-                    BeginOutcome::Duplicate => {
-                        // A replay from the recorded parent is the network
-                        // duplicating the frame — the real stream is already
-                        // flowing, so drop it. A duplicate from any *other*
-                        // sender is a cross-path arrival: prune-ack so that
-                        // forwarder stops waiting on us.
-                        let from_parent = rt
-                            .state
-                            .get(&transaction)
-                            .is_some_and(|s| s.parent == Some(Sym(from.0)));
-                        if !from_parent {
-                            self.reply(rt, from, transaction, Vec::new(), true, false);
-                        }
-                    }
-                    BeginOutcome::Fresh => {
-                        // A frame from the client transport id is the
-                        // injected query: the entry node is the trace root.
-                        // (Membership, not the static neighbor list — under
-                        // lifecycle swaps a query may legitimately arrive
-                        // from a non-underlay peer.)
-                        let injected = from == self.client_id;
-                        self.trace_event(TraceKind::Recv, transaction, |ev| {
-                            if injected {
-                                ev
-                            } else {
-                                ev.with_peer(format!("n{}", from.0))
-                            }
-                        });
-                        // Edge result cache: a query carrying a nonzero
-                        // staleness bound may be answered from this peer's
-                        // cache — complete subtree answer at hop 1, flood
-                        // suppressed. The lookup enforces the requester's
-                        // bound, the populating query's bound, the cache
-                        // TTL and the registry mutation epoch.
-                        let cacheable = scope.result_staleness_ms > 0;
-                        if cacheable {
-                            let now_ms = now.millis();
-                            let epoch = self.registry.mutation_epoch();
-                            let hit = rt.rcache.lookup(
-                                &query,
-                                QueryLanguage::XQuery,
-                                scope.radius,
-                                now_ms,
-                                scope.result_staleness_ms,
-                                epoch,
-                            );
-                            if let Some(items) = hit {
-                                self.stats.result_cache_hits.inc();
-                                self.trace_event(TraceKind::CacheServed, transaction, |ev| {
-                                    ev.with_items(items.len() as u64)
-                                });
-                                self.reply(rt, from, transaction, items.to_vec(), true, true);
-                                return;
-                            }
-                        }
-                        let (items, plan, eval_complete) = self.evaluate(rt, &query);
-                        self.trace_event(TraceKind::Eval, transaction, |ev| {
-                            ev.with_items(items.len() as u64)
-                        });
-                        let fscope = scope.forwarded(0);
-                        let mut pending = HashSet::new();
-                        let mut shed_any = false;
-                        let breaker_on = self.recovery.breaker.enabled;
-                        // Forward over the *current* Connected set — the
-                        // living topology, not the underlay the peer was
-                        // born with.
-                        let connected = self.with_peers(|t| t.connected().to_vec());
-                        if let Some(fscope) = &fscope {
-                            for &nb in &connected {
-                                // The breaker subsumes plain suspicion when
-                                // on: it can also rehabilitate via probes.
-                                if nb == from || (!breaker_on && rt.suspected.contains(&nb)) {
-                                    continue;
-                                }
-                                match self.breaker_decide(rt, nb) {
-                                    ForwardDecision::Forward => {}
-                                    decision => {
-                                        // Shed at source — counted, and the
-                                        // lost subtree is reported upward so
-                                        // the originator sees a Partial
-                                        // answer, never a silent gap.
-                                        shed_any = true;
-                                        self.stats.breaker_sheds.inc();
-                                        if matches!(decision, ForwardDecision::ShedAndProbe) {
-                                            self.stats.breaker_probes.inc();
-                                            send(&*self.transport, self.id, nb, &Message::Ping);
-                                        }
-                                        let msg = Message::Error {
-                                            transaction,
-                                            origin: self.endpoint.as_ref().to_owned(),
-                                            reason: "breaker open: subtree shed".to_owned(),
-                                        };
-                                        send(&*self.transport, self.id, from, &msg);
-                                        continue;
-                                    }
-                                }
-                                let msg = Message::Query {
-                                    transaction,
-                                    query: query.clone(),
-                                    language: QueryLanguage::XQuery,
-                                    scope: fscope.clone(),
-                                    response_mode: ResponseMode::Routed,
-                                };
-                                send(&*self.transport, self.id, nb, &msg);
-                                self.trace_event(TraceKind::Forward, transaction, |ev| {
-                                    ev.with_peer(format!("n{}", nb.0))
-                                });
-                                self.with_peers(|t| t.note_forward(nb));
-                                pending.insert(nb);
-                            }
-                        }
-                        let complete = pending.is_empty();
-                        // Admission-aware population gate: a complete, un-
-                        // shed evaluation, and either a forwarded subtree
-                        // (aggregates are always worth keeping) or a local
-                        // plan costlier than a pure index lookup.
-                        let cache_ok = cacheable
-                            && eval_complete
-                            && !shed_any
-                            && (!pending.is_empty() || !matches!(plan, QueryPlan::Index));
-                        rt.live.insert(
-                            transaction,
-                            LiveTxn {
-                                parent: Some(from),
-                                pending_children: pending,
-                                local_done: true,
-                                next_seq: 0,
-                                query,
-                                fscope,
-                                watchdog_at: Instant::now()
-                                    + Duration::from_millis(self.recovery.watchdog_timeout_ms),
-                                requeried: false,
-                                cache_items: if cache_ok { items.clone() } else { Vec::new() },
-                                cache_ok,
-                                cache_tainted: false,
-                                cache_radius: scope.radius,
-                                cache_bound: scope.result_staleness_ms,
-                                cache_sources: Vec::new(),
-                                accepted_at_ms: self.epoch.elapsed().as_millis() as u64,
-                            },
-                        );
-                        // Pipelined: local items leave immediately; `last`
-                        // only when no children are outstanding. A partial
-                        // frame with no items would tell the parent nothing.
-                        if complete {
-                            self.reply_last(rt, clock, from, transaction, items, false);
-                        } else if !items.is_empty() {
-                            self.reply(rt, from, transaction, items, false, false);
-                        }
-                    }
-                }
-            }
-            Message::Results { transaction, seq, items, last, cached, .. } => {
-                if self.recovery.enabled {
-                    // Ack every arrival, then suppress replays.
-                    let ack = Message::Ack { transaction, seq };
-                    send(&*self.transport, self.id, from, &ack);
-                    // A frame for a transaction the state table no longer
-                    // tracks (swept after its loop timeout) must not
-                    // recreate a ledger entry nobody will ever forget.
-                    if rt.state.get(&transaction).is_none() {
-                        return;
-                    }
-                    if !rt.ledger.record(transaction, Sym(from.0), seq) {
-                        return;
-                    }
-                }
-                let Some(entry) = rt.live.get_mut(&transaction) else { return };
-                let parent = entry.parent;
-                // Results flowing back score the child link: latency from
-                // query acceptance, yield from the item count.
-                let latency =
-                    (self.epoch.elapsed().as_millis() as u64).saturating_sub(entry.accepted_at_ms);
-                self.with_peers(|t| t.note_results(from, latency, items.len() as u64));
-                if cached {
-                    // A child answered from its cache: this peer's
-                    // aggregate is second-hand — never re-cache it, and
-                    // relay the provenance flag upward.
-                    entry.cache_ok = false;
-                    entry.cache_tainted = true;
-                    entry.cache_items.clear();
-                    entry.cache_sources.clear();
-                } else if entry.cache_ok {
-                    entry.cache_items.extend(items.iter().cloned());
-                    if !entry.cache_sources.contains(&from.0) {
-                        entry.cache_sources.push(from.0);
-                    }
-                }
-                let mut finalize = false;
-                if last {
-                    entry.pending_children.remove(&from);
-                    finalize = entry.pending_children.is_empty() && entry.local_done;
-                }
-                let tainted = entry.cache_tainted;
-                if let Some(p) = parent {
-                    if !items.is_empty() {
-                        self.reply(rt, p, transaction, items, false, cached);
-                    }
-                    if finalize {
-                        self.reply_last(rt, clock, p, transaction, Vec::new(), tainted);
-                    }
-                }
-            }
-            Message::Ack { transaction, seq } => {
-                if rt.pending.remove(&(transaction, from, seq)).is_some() {
-                    self.trace_event(TraceKind::Ack, transaction, |ev| {
-                        ev.with_peer(format!("n{}", from.0))
-                    });
-                }
-                self.breaker_success(rt, from);
-            }
-            Message::Error { transaction, origin, reason } => {
-                // Relay the lost-subtree notice toward the originator; a
-                // lost subtree below makes this peer's aggregate partial,
-                // so it must never be cached.
-                let parent = rt.live.get_mut(&transaction).map(|e| {
-                    e.cache_ok = false;
-                    e.cache_items.clear();
-                    e.parent
-                });
-                if let Some(Some(p)) = parent {
-                    let msg = Message::Error { transaction, origin, reason };
-                    send(&*self.transport, self.id, p, &msg);
-                }
-            }
-            Message::Close { transaction } => {
-                self.trace_event(TraceKind::Close, transaction, |ev| ev);
-                rt.live.remove(&transaction);
-                rt.state.close(&transaction);
-            }
-            Message::Ping => {
-                let msg = Message::Pong;
-                send(&*self.transport, self.id, from, &msg);
-            }
-            Message::Pong => {
-                // A probe came back: the peer is alive again.
-                self.breaker_success(rt, from);
-                rt.suspected.remove(&from);
-            }
-            _ => {}
-        }
-    }
-
-    /// Retransmit overdue unacked frames and run the child watchdog.
-    fn tick(&self, rt: &mut PeerRt) {
-        let now = Instant::now();
-        // Bounded retransmission with exponential backoff.
-        let due: Vec<(TransactionId, NodeId, u64)> =
-            rt.pending.iter().filter(|(_, p)| p.due <= now).map(|(k, _)| *k).collect();
-        for key in due {
-            let Some(p) = rt.pending.get_mut(&key) else { continue };
-            if p.retries_left == 0 {
-                let to = p.to;
-                rt.pending.remove(&key);
-                rt.suspected.insert(to);
-                self.breaker_failure(rt, to);
-                self.with_peers(|t| t.note_failure(to));
-                continue;
-            }
-            p.retries_left -= 1;
-            p.due = now + p.backoff + self.jitter();
-            p.backoff *= u32::try_from(self.recovery.backoff_factor.max(1)).unwrap_or(2);
-            let to = p.to;
-            let frame = p.frame.clone();
-            self.transport.send_frame(self.id, to, frame);
-            self.trace_event(TraceKind::Retry, key.0, |ev| ev.with_peer(format!("n{}", to.0)));
-            // Each ack timeout is one failure signal toward opening the
-            // neighbor's breaker.
-            self.breaker_failure(rt, to);
-        }
-        // Child-liveness watchdog: re-query silent subtrees once, then
-        // abandon them (Error upward + final reply) so parents unwind.
-        let mut abandoned: Vec<(TransactionId, Option<NodeId>, bool, bool)> = Vec::new();
-        let mut lost_children: Vec<NodeId> = Vec::new();
-        for (txn, entry) in rt.live.iter_mut() {
-            if entry.pending_children.is_empty() || now < entry.watchdog_at {
-                continue;
-            }
-            if !entry.requeried {
-                if let Some(fscope) = &entry.fscope {
-                    for &child in &entry.pending_children {
-                        let msg = Message::Query {
-                            transaction: *txn,
-                            query: entry.query.clone(),
-                            language: QueryLanguage::XQuery,
-                            scope: fscope.clone(),
-                            response_mode: ResponseMode::Routed,
-                        };
-                        send(&*self.transport, self.id, child, &msg);
-                    }
-                }
-                entry.requeried = true;
-                entry.watchdog_at = now + Duration::from_millis(self.recovery.watchdog_timeout_ms);
-                continue;
-            }
-            // Second strike: give the subtrees up.
-            let lost: Vec<NodeId> = entry.pending_children.drain().collect();
-            for &child in &lost {
-                self.trace_event(TraceKind::Abandon, *txn, |ev| {
-                    ev.with_peer(format!("n{}", child.0))
-                });
-            }
-            rt.suspected.extend(lost.iter().copied());
-            lost_children.extend(lost.iter().copied());
-            if let Some(p) = entry.parent {
-                for _ in &lost {
-                    let msg = Message::Error {
-                        transaction: *txn,
-                        origin: self.endpoint.as_ref().to_owned(),
-                        reason: "watchdog: subtree lost".to_owned(),
-                    };
-                    send(&*self.transport, self.id, p, &msg);
-                }
-            }
-            abandoned.push((*txn, entry.parent, entry.local_done, entry.cache_tainted));
-        }
-        // A child the watchdog gave up on is a hard failure signal. Record
-        // it *before* the final replies below: the moment the originator
-        // sees the partial answer, anything reading the breaker counters
-        // must already find the open accounted for.
-        for child in lost_children {
-            self.breaker_failure(rt, child);
-            self.with_peers(|t| t.note_failure(child));
-        }
-        for (txn, parent, local_done, tainted) in abandoned {
-            if let Some(p) = parent {
-                if local_done {
-                    self.reply(rt, p, txn, Vec::new(), true, tainted);
-                }
-            }
-            // Abandoned answers are partial — dropped, never cached.
-            rt.live.remove(&txn);
-        }
-    }
-
-    /// Whether a forward to `target` may proceed, per its breaker.
-    fn breaker_decide(&self, rt: &mut PeerRt, target: NodeId) -> ForwardDecision {
-        if !self.recovery.breaker.enabled {
-            return ForwardDecision::Forward;
-        }
-        let now_ms = self.epoch.elapsed().as_millis() as u64;
-        rt.breakers
-            .entry(target)
-            .or_insert_with(|| CircuitBreaker::new(self.recovery.breaker))
-            .decide(now_ms)
-    }
-
-    /// Record a send/ack failure toward `target`; counts open transitions.
-    fn breaker_failure(&self, rt: &mut PeerRt, target: NodeId) {
-        if !self.recovery.breaker.enabled {
-            return;
-        }
-        let now_ms = self.epoch.elapsed().as_millis() as u64;
-        let opened = rt
-            .breakers
-            .entry(target)
-            .or_insert_with(|| CircuitBreaker::new(self.recovery.breaker))
-            .record_failure(now_ms);
-        if opened {
-            self.stats.breaker_opens.inc();
-        }
-    }
-
-    /// Record proof of life from `target` (ack or pong): closes its
-    /// breaker.
-    fn breaker_success(&self, rt: &mut PeerRt, target: NodeId) {
-        if !self.recovery.breaker.enabled {
-            return;
-        }
-        if let Some(b) = rt.breakers.get_mut(&target) {
-            b.record_success();
-        }
-    }
-
-    fn jitter(&self) -> Duration {
-        Duration::from_millis(draw_jitter_ms(&self.jitter_state, self.recovery.jitter_ms))
-    }
-
-    /// Evaluate locally; also reports the planner's choice and whether the
-    /// evaluation was complete (both feed the result-cache admission gate).
-    fn evaluate(&self, rt: &mut PeerRt, query_src: &str) -> (Vec<String>, QueryPlan, bool) {
-        // Compile through the peer's cache: one parse per distinct query
-        // string per peer, regardless of hops and retransmissions.
-        match rt.qcache.get_or_compile(query_src, QueryLanguage::XQuery) {
-            CompiledQuery::XQuery(q) => match self.registry.query(&q, &Freshness::any()) {
-                Ok(out) => {
-                    let items = out.results.iter().map(wsda_xq::Item::serialize).collect();
-                    let complete =
-                        matches!(out.completeness, wsda_registry::Completeness::Complete);
-                    (items, out.stats.plan, complete)
-                }
-                Err(_) => (Vec::new(), QueryPlan::Scan, false),
-            },
-            CompiledQuery::Sql(q) => {
-                let rows = self.registry.query_sql(&q);
-                let items = wsda_registry::sql::SqlQuery::rows_to_xml(&rows)
-                    .iter()
-                    .map(|e| e.to_compact_string())
-                    .collect();
-                (items, QueryPlan::Scan, true)
-            }
-        }
-    }
-
-    /// Unwind a completed transaction: install its answer in the peer's
-    /// result cache when admissible, then drop the live entry. Everything
-    /// that makes the answer unfit — partial evaluation, shed or lost
-    /// subtrees, cache-served child frames, a zero staleness bound —
-    /// already falsified `cache_ok`.
-    fn finish_txn(&self, rt: &mut PeerRt, clock: &SystemClock, transaction: TransactionId) {
-        use wsda_registry::clock::Clock as _;
-        let Some(entry) = rt.live.remove(&transaction) else { return };
-        if !entry.cache_ok {
-            return;
-        }
-        let now_ms = clock.now().millis();
-        let epoch = self.registry.mutation_epoch();
-        rt.rcache.insert(
-            &entry.query,
-            QueryLanguage::XQuery,
-            entry.cache_radius,
-            entry.cache_items,
-            now_ms,
-            entry.cache_bound,
-            epoch,
-            &entry.cache_sources,
-        );
-        self.stats.result_cache_insertions.inc();
-    }
-
-    /// Send a `Results` frame; with recovery on it is tracked for
-    /// retransmission until acked.
-    fn reply(
-        &self,
-        rt: &mut PeerRt,
-        to: NodeId,
-        transaction: TransactionId,
-        items: Vec<String>,
-        last: bool,
-        cached: bool,
-    ) {
-        let frame = self.results_frame(rt, to, transaction, items, last, cached);
-        self.transport.send_frame(self.id, to, frame);
-    }
-
-    /// Send a transaction's final `Results` frame and unwind it. The frame
-    /// is numbered and encoded first, the answer is installed in the
-    /// result cache next, and only then does the frame leave: whoever
-    /// receives `last` finds the cache already populated.
-    fn reply_last(
-        &self,
-        rt: &mut PeerRt,
-        clock: &SystemClock,
-        to: NodeId,
-        transaction: TransactionId,
-        items: Vec<String>,
-        cached: bool,
-    ) {
-        let frame = self.results_frame(rt, to, transaction, items, true, cached);
-        self.finish_txn(rt, clock, transaction);
-        self.transport.send_frame(self.id, to, frame);
-    }
-
-    /// Number and encode a `Results` frame for `to`; with recovery on it is
-    /// tracked for retransmission until acked.
-    fn results_frame(
-        &self,
-        rt: &mut PeerRt,
-        to: NodeId,
-        transaction: TransactionId,
-        items: Vec<String>,
-        last: bool,
-        cached: bool,
-    ) -> Frame {
-        let seq = match rt.live.get_mut(&transaction) {
-            Some(e) => {
-                let s = e.next_seq;
-                e.next_seq += 1;
-                s
-            }
-            // Transaction already unwound (late prune ack): the stream to
-            // this receiver never carried a frame, so 0 is fresh.
-            None => 0,
-        };
-        self.trace_event(TraceKind::Results, transaction, |ev| {
-            ev.with_peer(format!("n{}", to.0)).with_items(items.len() as u64)
-        });
-        let msg = Message::Results {
-            transaction,
-            seq,
-            items,
-            last,
-            origin: self.endpoint.as_ref().to_owned(),
-            cached,
-        };
-        let frame = encode_frame(&msg);
-        if self.recovery.enabled {
-            rt.pending.insert(
-                (transaction, to, seq),
-                PendingLive {
-                    frame: frame.clone(),
-                    to,
-                    due: Instant::now()
-                        + Duration::from_millis(self.recovery.ack_timeout_ms)
-                        + self.jitter(),
-                    retries_left: self.recovery.max_retries,
-                    backoff: Duration::from_millis(self.recovery.backoff_ms(1)),
-                },
-            );
-        }
-        frame
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use wsda_registry::{Freshness, PublishRequest};
     use wsda_xq::Query;
 
     const QUERY: &str = r#"//service[load < 0.5]/owner"#;
@@ -1811,15 +1241,18 @@ mod tests {
         // hung subtree, which opens node 0's breaker for neighbor 1.
         let first = net.query_full(NodeId(0), QUERY, None, Duration::from_secs(20));
         assert!(!first.completeness.is_complete(), "hung subtree must surface as partial");
-        assert!(net.stats().breaker_opens >= 1, "repeated failures must open a breaker");
-        let sheds_before = net.stats().breaker_sheds;
+        assert!(
+            net.metrics().family_sum("updf_breaker_opens_total") >= 1,
+            "repeated failures must open a breaker"
+        );
+        let sheds_before = net.metrics().family_sum("updf_breaker_sheds_total");
         // Second query: the forward to the hung peer is shed at source —
         // no watchdog wait, and the shed subtree is still reported.
         let t0 = Instant::now();
         let second = net.query_full(NodeId(0), QUERY, None, Duration::from_secs(20));
         let elapsed = t0.elapsed();
         assert!(
-            net.stats().breaker_sheds > sheds_before,
+            net.metrics().family_sum("updf_breaker_sheds_total") > sheds_before,
             "open breaker must shed the forward at source"
         );
         assert!(

@@ -297,7 +297,7 @@ fn graceful_leave_refers_neighbors_and_sweeps_state() {
     let cache_scope = Scope { result_staleness_ms: 1 << 30, ..scope(None) };
     let run = net.run_query(NodeId(0), QUERY, cache_scope, ResponseMode::Routed);
     assert!(!run.results.is_empty());
-    let entries_before = net.result_cache_entries();
+    let entries_before = net.metrics().family_sum("updf_result_cache_entries_total");
     assert!(entries_before > 0, "query with staleness bound must populate caches");
 
     assert!(net.depart_node(NodeId(1)));
@@ -312,7 +312,10 @@ fn graceful_leave_refers_neighbors_and_sweeps_state() {
         );
     }
     // Entries folded from n1 were purged everywhere.
-    assert!(net.result_cache_entries() < entries_before, "no cache entry was purged on departure");
+    assert!(
+        net.metrics().family_sum("updf_result_cache_entries_total") < entries_before,
+        "no cache entry was purged on departure"
+    );
 }
 
 /// Stochastic churn at a configurable rate keeps running queries

@@ -172,9 +172,9 @@ fn sim_state_stays_bounded_across_200_churn_cycles() {
     // membership flapped.
     assert!(known <= nodes * (nodes - 1), "peer tables grew with churn cycles: {known}");
     assert!(
-        net.result_cache_entries() as u64 <= nodes,
+        net.metrics().family_sum("updf_result_cache_entries_total") <= nodes,
         "result-cache entries grew with churn cycles: {}",
-        net.result_cache_entries()
+        net.metrics().family_sum("updf_result_cache_entries_total")
     );
 }
 

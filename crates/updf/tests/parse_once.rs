@@ -21,23 +21,35 @@ fn wide_scope() -> Scope {
 #[test]
 fn repeated_query_parses_once_per_node_across_hops() {
     let mut net = SimNetwork::build(line4(), NetworkModel::constant(5), P2pConfig::default());
-    assert_eq!(net.query_parses(), 0, "nothing compiled before the first run");
+    assert_eq!(
+        net.metrics().family_sum("updf_query_cache_parses_total"),
+        0,
+        "nothing compiled before the first run"
+    );
 
     let first = net.run_query(NodeId(0), QUERY, wide_scope(), ResponseMode::Routed);
     assert!(first.completeness.is_complete());
-    assert_eq!(net.query_parses(), 4, "each of the 4 nodes compiled the query exactly once");
+    assert_eq!(
+        net.metrics().family_sum("updf_query_cache_parses_total"),
+        4,
+        "each of the 4 nodes compiled the query exactly once"
+    );
 
     // The same query string again — new transaction, same 3-hop path:
     // zero re-parses anywhere, every node hits its cache.
-    let hits_before = net.query_cache_hits();
+    let hits_before = net.metrics().family_sum("updf_query_cache_hits_total");
     let second = net.run_query(NodeId(0), QUERY, wide_scope(), ResponseMode::Routed);
     assert!(second.completeness.is_complete());
-    assert_eq!(net.query_parses(), 4, "re-running a cached query never re-parses");
-    assert_eq!(net.query_cache_hits(), hits_before + 4);
+    assert_eq!(
+        net.metrics().family_sum("updf_query_cache_parses_total"),
+        4,
+        "re-running a cached query never re-parses"
+    );
+    assert_eq!(net.metrics().family_sum("updf_query_cache_hits_total"), hits_before + 4);
 
     // A different query string compiles once per node again.
     net.run_query(NodeId(0), "//service", wide_scope(), ResponseMode::Routed);
-    assert_eq!(net.query_parses(), 8);
+    assert_eq!(net.metrics().family_sum("updf_query_cache_parses_total"), 8);
 }
 
 #[test]
@@ -59,12 +71,12 @@ fn retransmitted_query_frames_do_not_reparse() {
         "duplicated Query frames must actually have arrived"
     );
     assert_eq!(
-        net.query_parses(),
+        net.metrics().family_sum("updf_query_cache_parses_total"),
         4,
         "duplicate/retransmitted Query frames are served from the cache"
     );
 
     // And a full re-run on the same (now warm) network still adds nothing.
     net.run_query(NodeId(0), QUERY, wide_scope(), ResponseMode::Routed);
-    assert_eq!(net.query_parses(), 4);
+    assert_eq!(net.metrics().family_sum("updf_query_cache_parses_total"), 4);
 }

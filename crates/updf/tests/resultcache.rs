@@ -78,8 +78,8 @@ proptest! {
             prop_assert_eq!(a.results, b.results);
             prop_assert_eq!(a.metrics, b.metrics);
         }
-        prop_assert_eq!(on.result_cache_hits(), 0, "bound 0 must never consult the cache");
-        prop_assert_eq!(on.result_cache_insertions(), 0, "bound 0 must never populate the cache");
+        prop_assert_eq!(on.metrics().family_sum("updf_result_cache_hits_total"), 0, "bound 0 must never consult the cache");
+        prop_assert_eq!(on.metrics().family_sum("updf_result_cache_insertions_total"), 0, "bound 0 must never populate the cache");
     }
 
     /// Expired entries are as good as no entries: with a 1 ms TTL and
@@ -106,9 +106,9 @@ proptest! {
             prop_assert_eq!(a.metrics.messages_total(), b.metrics.messages_total());
             prop_assert_eq!(a.metrics.cache_served, 0);
         }
-        prop_assert_eq!(on.result_cache_hits(), 0, "expired entries must never be served");
-        prop_assert!(on.result_cache_insertions() > 0, "entries were actually created");
-        prop_assert!(on.result_cache_stale_rejects() > 0, "and rejected on age");
+        prop_assert_eq!(on.metrics().family_sum("updf_result_cache_hits_total"), 0, "expired entries must never be served");
+        prop_assert!(on.metrics().family_sum("updf_result_cache_insertions_total") > 0, "entries were actually created");
+        prop_assert!(on.metrics().family_sum("updf_result_cache_stale_rejects_total") > 0, "and rejected on age");
     }
 }
 
@@ -139,14 +139,16 @@ fn sim_mutations_invalidate_before_the_next_query() {
     // hop 1 (cache_served with exactly one fresh evaluation).
     let link = "http://planted.example.org/storage/0";
     net.plant_service(NodeId(0), "storage", link, planted_service("planted.example.org"));
-    let invalidations_before = net.result_cache_invalidations();
+    let invalidations_before = net.metrics().family_sum("updf_result_cache_invalidations_total");
     let (with_planted, after_publish) = run(&mut net);
     assert!(
         with_planted.contains(&"<owner>planted.example.org</owner>".to_owned()),
         "publish must be visible immediately: {with_planted:?}"
     );
     assert_eq!(with_planted.len(), baseline.len() + 1);
-    assert!(net.result_cache_invalidations() > invalidations_before);
+    assert!(
+        net.metrics().family_sum("updf_result_cache_invalidations_total") > invalidations_before
+    );
     assert_eq!(after_publish.nodes_evaluated, 1, "only the mutated node re-evaluates");
     assert!(after_publish.cache_served > 0, "downstream subtree served at hop 1");
 
@@ -165,10 +167,12 @@ fn sim_mutations_invalidate_before_the_next_query() {
     assert_eq!(second_repeat, second_cold);
     assert_eq!(m.nodes_evaluated, 0, "hop-0 hit on the fresh entry");
     net.registry(NodeId(0)).refresh(link, Some(WIDE_BOUND_MS)).expect("refresh planted");
-    let invalidations_before = net.result_cache_invalidations();
+    let invalidations_before = net.metrics().family_sum("updf_result_cache_invalidations_total");
     let (after_refresh, m) = run2(&mut net);
     assert_eq!(after_refresh, second_cold, "refresh changes no content");
-    assert!(net.result_cache_invalidations() > invalidations_before);
+    assert!(
+        net.metrics().family_sum("updf_result_cache_invalidations_total") > invalidations_before
+    );
     assert_eq!(m.nodes_evaluated, 1, "the refreshed node re-evaluates, hop 1 serves the rest");
 
     // Unpublish: the tuple disappears with no stale-hit window.
@@ -193,14 +197,20 @@ fn sim_result_cache_stays_bounded_across_many_transactions() {
         let run = net.run_query(NodeId(0), &q, scope(WIDE_BOUND_MS), ResponseMode::Routed);
         assert!(run.completeness.is_complete());
     }
-    let entries = net.result_cache_entries();
+    let entries = net.metrics().family_sum("updf_result_cache_entries_total") as usize;
     assert!(
         entries <= CAPACITY * nodes,
         "cache leak: {entries} entries across {nodes} nodes after {TXNS} txns \
          (capacity {CAPACITY}/node)"
     );
-    assert!(net.result_cache_evictions() > 0, "LRU must actually have evicted");
-    assert!(net.result_cache_insertions() as usize >= TXNS, "every txn populated");
+    assert!(
+        net.metrics().family_sum("updf_result_cache_evictions_total") > 0,
+        "LRU must actually have evicted"
+    );
+    assert!(
+        net.metrics().family_sum("updf_result_cache_insertions_total") as usize >= TXNS,
+        "every txn populated"
+    );
 }
 
 /// The live engine end to end over real sockets/threads: repeats of a hot
@@ -217,17 +227,27 @@ fn live_cache_serves_repeats_and_invalidates_on_publish() {
         assert!(r.completeness.is_complete());
         sorted(r.results)
     };
-    assert!(net.stats().result_cache_insertions > 0, "cold flood must populate");
+    assert!(
+        net.metrics().family_sum("updf_result_cache_insertions_total") > 0,
+        "cold flood must populate"
+    );
 
     let repeat = sorted(net.query_with_scope(NodeId(0), QUERY, wide.clone(), timeout).results);
     assert_eq!(repeat, baseline);
-    assert!(net.stats().result_cache_hits > 0, "repeat must be cache-served");
+    assert!(
+        net.metrics().family_sum("updf_result_cache_hits_total") > 0,
+        "repeat must be cache-served"
+    );
 
     // Staleness bound 0 never consults the warm cache.
-    let hits_before = net.stats().result_cache_hits;
+    let hits_before = net.metrics().family_sum("updf_result_cache_hits_total");
     let strict = sorted(net.query_with_scope(NodeId(0), QUERY, scope(0), timeout).results);
     assert_eq!(strict, baseline);
-    assert_eq!(net.stats().result_cache_hits, hits_before, "bound 0 must bypass the cache");
+    assert_eq!(
+        net.metrics().family_sum("updf_result_cache_hits_total"),
+        hits_before,
+        "bound 0 must bypass the cache"
+    );
 
     // Publish at the entry peer: visible to the next query, cached or not.
     net.registry(NodeId(0))

@@ -15,7 +15,7 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Strategy generating strings matching `pattern` (the regex subset
-/// described in [`crate::regex_gen`]).
+/// described in the `regex_gen` module).
 pub fn string_regex(pattern: &str) -> Result<RegexStrategy, Error> {
     // Validate eagerly so bad patterns fail at construction, like the
     // real crate.
