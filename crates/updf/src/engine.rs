@@ -48,7 +48,10 @@
 use crate::arena::{AliveSet, EndpointTable, TimerSlab};
 use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
-use crate::node::{evaluate_locally, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer};
+use crate::node::{
+    corpus_seed, evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode,
+    Timer,
+};
 use crate::recovery::{Completeness, RecoveryConfig};
 use crate::selection::{NodeKinds, RoutingIndex};
 use crate::topology::Topology;
@@ -208,37 +211,10 @@ struct RegistryFactory {
     tuples_per_node: usize,
 }
 
-/// The seed of node `node`'s synthetic corpus slice.
-fn corpus_seed(seed: u64, node: u32) -> u64 {
-    seed ^ u64::from(node).wrapping_mul(0x9e37)
-}
-
-/// Publish node `node`'s synthetic corpus slice: deterministic in the
-/// seed, so a node answers identically on the simulator, on a live
-/// overlay and as a standalone process.
-pub(crate) fn publish_corpus(registry: &HyperRegistry, seed: u64, node: u32, tuples: usize) {
-    let mut generator = CorpusGenerator::new(corpus_seed(seed, node));
-    for _ in 0..tuples {
-        let (link, _kind, domain, content) = generator.next_service();
-        registry
-            .publish(
-                PublishRequest::new(&link, "service")
-                    .with_context(domain)
-                    .with_ttl_ms(u64::MAX / 8)
-                    .with_content(content),
-            )
-            .expect("synthetic publish");
-    }
-}
-
 impl RegistryFactory {
-    fn populate(&self, registry: &HyperRegistry, node: u32) {
-        publish_corpus(registry, self.seed, node, self.tuples_per_node);
-    }
-
     fn materialize(&self, node: u32) -> Arc<HyperRegistry> {
         let registry = Arc::new(HyperRegistry::new(self.config.clone(), self.clock.clone()));
-        self.populate(&registry, node);
+        publish_corpus(&registry, self.seed, node, self.tuples_per_node);
         registry
     }
 }
@@ -450,7 +426,7 @@ impl SimNetwork {
                         .expect("open durable sim registry");
                 let registry = Arc::new(registry);
                 if report.recovered_tuples == 0 {
-                    factory.populate(&registry, node_u32);
+                    publish_corpus(&registry, config.seed, node_u32, config.tuples_per_node);
                 }
                 registries.push(NodeRegistry::eager(registry));
             } else if eager {

@@ -33,10 +33,11 @@
 //! ledger, pending acks, breakers) is deliberately lost — exactly what a
 //! real process restart would lose.
 
-use crate::engine::publish_corpus;
 use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
-use crate::node::{evaluate_locally, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer};
+use crate::node::{
+    evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer,
+};
 use crate::recovery::{Completeness, RecoveryConfig};
 use crate::topology::Topology;
 use bytes::BytesMut;
@@ -991,6 +992,8 @@ impl PeerThread {
                 Duration::from_millis(due.saturating_sub(self.now_ms())).min(IDLE_POLL)
             });
             match inbox.recv_timeout(wait) {
+                // Killed while waiting: a hung process reads nothing more.
+                Ok(_) if self.dead.load(Ordering::SeqCst) => continue,
                 Ok(envelope) => {
                     reader.extend(&envelope.message);
                     while let Ok(Some(message)) = reader.next_message() {
@@ -1062,7 +1065,10 @@ impl PeerThread {
                         0
                     };
                     st.armed += 1;
-                    st.timers.push(Reverse((self.now_ms() + delay_ms + extra, st.armed, timer)));
+                    // Abort budgets come off the wire: saturate, so a huge
+                    // one never wraps into a timer that fires at once.
+                    let due = self.now_ms().saturating_add(delay_ms).saturating_add(extra);
+                    st.timers.push(Reverse((due, st.armed, timer)));
                 }
                 Action::Evaluate { txn } => st.evals.push(txn),
                 // Live peers never originate: the client sits outside the

@@ -40,7 +40,8 @@ use wsda_pdp::{
 };
 use wsda_registry::admission::{Admission, AdmissionContext};
 use wsda_registry::clock::Time;
-use wsda_registry::{Freshness, HyperRegistry, QueryPlan, QueryScope};
+use wsda_registry::workload::CorpusGenerator;
+use wsda_registry::{Freshness, HyperRegistry, PublishRequest, QueryPlan, QueryScope};
 
 /// How nodes bound their waiting (experiment F8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,9 +220,32 @@ pub fn evaluate_locally(registry: &HyperRegistry, job: &EvalJob, client: &str) -
     }
 }
 
-/// A subtree is lost (shed by a breaker, or abandoned by the watchdog):
-/// tell the parent, so the loss travels to the originator, or count it
-/// here at the originator.
+/// The seed of node `node`'s synthetic corpus slice.
+pub(crate) fn corpus_seed(seed: u64, node: u32) -> u64 {
+    seed ^ u64::from(node).wrapping_mul(0x9e37)
+}
+
+/// Publish node `node`'s synthetic corpus slice: deterministic in the
+/// seed, so a node answers identically on the simulator, on a live
+/// overlay and as a standalone process.
+pub(crate) fn publish_corpus(registry: &HyperRegistry, seed: u64, node: u32, tuples: usize) {
+    let mut generator = CorpusGenerator::new(corpus_seed(seed, node));
+    for _ in 0..tuples {
+        let (link, _kind, domain, content) = generator.next_service();
+        registry
+            .publish(
+                PublishRequest::new(&link, "service")
+                    .with_context(domain)
+                    .with_ttl_ms(u64::MAX / 8)
+                    .with_content(content),
+            )
+            .expect("synthetic publish");
+    }
+}
+
+/// A subtree is lost (shed by a breaker, abandoned by the watchdog, or
+/// given up by a node abort): tell the parent, so the loss travels to the
+/// originator, or count it here at the originator.
 fn report_lost(env: &mut Env<'_>, txn: TransactionId, parent: Option<NodeId>, reason: &str) {
     match parent {
         Some(p) => {
@@ -1084,12 +1108,16 @@ impl NodeCore {
         }
     }
 
+    /// The abort budget lapsed first: answer with what the node has, after
+    /// an `Error` upward for each piece it gives up (every silent child,
+    /// and the local evaluation if still running), so an originator that
+    /// sees only frames knows the answer is partial.
     fn node_abort(&mut self, env: &mut Env<'_>, txn: TransactionId) {
-        let complete = self.state.get(&txn).map(|s| s.complete()).unwrap_or(true);
-        let Some(info) = self.txns.get_mut(&txn) else { return };
-        if complete || info.aborted || info.finalized {
+        let Some(state) = self.state.get(&txn).filter(|s| !s.complete()) else { return };
+        let lost = state.pending_children.len() + usize::from(!state.local_done);
+        let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted && !i.finalized) else {
             return;
-        }
+        };
         info.aborted = true;
         info.finalized = true;
         env.metrics.node_aborts += 1;
@@ -1103,6 +1131,9 @@ impl NodeCore {
             info.work = None;
         }
         self.state.close(&txn);
+        for _ in 0..lost {
+            report_lost(env, txn, parent, "abort timeout: subtree lost");
+        }
         match parent {
             Some(p) => self.send_results(env, p, txn, items, true, None, tainted),
             None => {

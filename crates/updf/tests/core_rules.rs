@@ -1,12 +1,15 @@
-//! Two rules the simulator and the live peers share through the one
-//! node core:
+//! Rules the simulator and the live peers share through the one node
+//! core:
 //!
 //! * a forward shed by an open circuit breaker is a lost subtree, so the
 //!   originator's run ends `Partial`, never `Complete` with a silent gap;
 //! * live peers honour the scope's neighbor-selection policy rather than
-//!   flooding every neighbor.
+//!   flooding every neighbor;
+//! * a node abort reports the subtrees it gives up, so a live client
+//!   whose abort budget lapses before a hung peer answers gets `Partial`;
+//! * an abort budget read off the wire arms a timer, whatever its size.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wsda_net::model::{ChaosPlan, NetworkModel};
 use wsda_net::NodeId;
@@ -90,4 +93,43 @@ fn live_peers_honour_the_neighbor_policy() {
     let mut got = report.results;
     got.sort();
     assert_eq!(got, expected, "only the hub's and the chosen leaf's items");
+}
+
+#[test]
+fn live_abort_before_a_hung_subtree_answers_ends_partial() {
+    let mut net = LiveNetwork::start(Topology::line(3), 2, 31);
+    net.kill(NodeId(2));
+    // The abort budget lapses at about 1 s, well before the watchdog
+    // (1.5 s re-query, then abandon) would give up on node 2.
+    let scope = Scope { abort_timeout_ms: 1_000, ..Scope::default() };
+    let t0 = Instant::now();
+    let report = net.query_with_scope(NodeId(0), "//service/owner", scope, Duration::from_secs(10));
+    let elapsed = t0.elapsed();
+    assert!(
+        !report.completeness.is_complete(),
+        "an abort that gives up on a subtree must say so, got {:?} with {} items",
+        report.completeness,
+        report.results.len()
+    );
+    assert!(report.errors_received >= 1, "the aborting peer reports the lost subtree");
+    assert!(
+        elapsed < Duration::from_millis(2_500),
+        "the abort, not the watchdog, ended the query: took {elapsed:?}"
+    );
+}
+
+#[test]
+fn live_peer_answers_under_a_maximal_abort_budget() {
+    let src = "//service/owner";
+    let mut net = LiveNetwork::start(Topology::tree(7, 2), 3, 41);
+    let scope = Scope { abort_timeout_ms: u64::MAX, ..Scope::default() };
+    let report = net.query_with_scope(NodeId(0), src, scope, Duration::from_secs(10));
+    assert!(report.completeness.is_complete(), "{:?}", report.completeness);
+    let query = Query::parse(src).unwrap();
+    let mut expected: Vec<String> =
+        (0..7).flat_map(|i| local_items(&net, NodeId(i), &query)).collect();
+    expected.sort();
+    let mut got = report.results;
+    got.sort();
+    assert_eq!(got, expected, "every peer answers as usual");
 }
