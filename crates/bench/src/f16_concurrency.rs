@@ -22,7 +22,7 @@
 //! the gap grows with corpus size; the acceptance bar is ≥3× at 8
 //! readers. Emits `BENCH_p2_concurrency.json` for CI artifact upload.
 
-use crate::harness::{f1 as fmt1, Report};
+use crate::harness::{f1 as fmt1, write_bench, Report};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -310,11 +310,7 @@ pub fn run(quick: bool) -> Report {
          sharded = HyperRegistry fast path",
         window.as_millis()
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f16 report");
-    match std::fs::write("BENCH_p2_concurrency.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_concurrency.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_concurrency.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_concurrency.json", quick);
     report
 }
 

@@ -16,7 +16,7 @@
 //! bar is ≥3× on the needle predicate at 10k tuples (debug build); the
 //! release sweep at 50k lands far higher. Emits `BENCH_p2_index.json`.
 
-use crate::harness::{f1 as fmt1, f3 as fmt3, timed, Report};
+use crate::harness::{f1 as fmt1, f3 as fmt3, timed, write_bench, Report};
 use serde_json::json;
 use std::sync::Arc;
 use wsda_registry::clock::ManualClock;
@@ -136,11 +136,7 @@ pub fn run(quick: bool) -> Report {
          scan = content_index disabled (seed behaviour), indexed = default planner; \
          selectivity labels are the approximate fraction of tuples matched"
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f17 report");
-    match std::fs::write("BENCH_p2_index.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_index.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_index.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_index.json", quick);
     report
 }
 

@@ -19,7 +19,7 @@
 //! Every degraded/shed decision is cross-checked against the registry's
 //! own counters. Emits `BENCH_p2_overload.json`.
 
-use crate::harness::{f1 as fmt1, Report};
+use crate::harness::{f1 as fmt1, write_bench, Report};
 use serde_json::json;
 use std::sync::Arc;
 use wsda_registry::clock::{Clock, ManualClock, Time};
@@ -231,11 +231,7 @@ pub fn run(quick: bool) -> Report {
          saturation the unprotected queue's goodput collapses while the gate degrades \
          scans to affordable prefixes and sheds the hopeless tail at ~zero cost",
     );
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f18 report");
-    match std::fs::write("BENCH_p2_overload.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_overload.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_overload.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_overload.json", quick);
     report
 }
 

@@ -9,7 +9,7 @@
 //! one model latency per hop, and results drain back in reverse order.
 //! Emits `BENCH_p2_trace.json`.
 
-use crate::harness::{f1 as fmt1, Report};
+use crate::harness::{f1 as fmt1, write_bench, Report};
 use serde_json::json;
 use wsda_net::model::NetworkModel;
 use wsda_net::NodeId;
@@ -84,11 +84,7 @@ pub fn run(quick: bool) -> Report {
          query h model latencies after injection, and deeper hops' results drain back last \
          — the trace reproduces the flood/drain phase structure from observed events",
     );
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f19 report");
-    match std::fs::write("BENCH_p2_trace.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_trace.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_trace.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_trace.json", quick);
     report
 }
 

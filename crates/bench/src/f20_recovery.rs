@@ -17,7 +17,7 @@
 //! measured times include the compacting snapshot recovery writes before
 //! it starts serving. Emits `BENCH_p2_recovery.json`.
 
-use crate::harness::{f1 as fmt1, Report};
+use crate::harness::{f1 as fmt1, write_bench, Report};
 use serde_json::json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -152,11 +152,7 @@ pub fn run(quick: bool) -> Report {
          Recovery time includes the compacting snapshot written before serving resumes; \
          fsync is off (replay cost, not disk flush, is under test).",
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f20 report");
-    match std::fs::write("BENCH_p2_recovery.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_recovery.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_recovery.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_recovery.json", quick);
     report
 }
 

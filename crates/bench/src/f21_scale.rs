@@ -19,7 +19,7 @@
 //! itself, not a virtual-time protocol figure). Emits
 //! `BENCH_p2_scale.json`.
 
-use crate::harness::{f1 as fmt1, Report};
+use crate::harness::{f1 as fmt1, write_bench, Report};
 use serde_json::json;
 use std::time::Instant;
 use wsda_net::model::NetworkModel;
@@ -217,11 +217,7 @@ pub fn run(quick: bool) -> Report {
          meaningful in a full run: later cases build into heap pages the previous case \
          freed, which VmRSS cannot see, and report ~0.",
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f21 report");
-    match std::fs::write("BENCH_p2_scale.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_scale.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_scale.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_scale.json", quick);
     report
 }
 

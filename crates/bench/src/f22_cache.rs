@@ -14,7 +14,7 @@
 //!
 //! Emits `BENCH_p2_cache.json`.
 
-use crate::harness::{f2 as fmt2, Report, Zipf};
+use crate::harness::{f2 as fmt2, write_bench, Report, Zipf};
 use serde_json::json;
 use wsda_net::model::NetworkModel;
 use wsda_net::NodeId;
@@ -251,11 +251,7 @@ pub fn run(quick: bool) -> Report {
          'served/draw' is the fraction of draws answered from cache; 'lookup hit' is the \
          per-node-probe rate, diluted by the full-network misses every cold flood records.",
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f22 report");
-    match std::fs::write("BENCH_p2_cache.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_cache.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_cache.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_cache.json", quick);
     report
 }
 

@@ -21,7 +21,7 @@
 //!
 //! Emits `BENCH_p2_churn.json`.
 
-use crate::harness::{f2 as fmt2, Report};
+use crate::harness::{f2 as fmt2, write_bench, Report};
 use serde_json::json;
 use std::time::Duration;
 use wsda_net::model::{ChurnConfig, NetworkModel};
@@ -288,11 +288,7 @@ pub fn run(quick: bool) -> Report {
          {RECOVERY_BAR} of pre-burst within {RECOVERY_INTERVALS} healing intervals — asserted, \
          as is zero-churn bit-for-bit equivalence with the static engine."
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f23 report");
-    match std::fs::write("BENCH_p2_churn.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_churn.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_churn.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_churn.json", quick);
     report
 }
 

@@ -18,7 +18,7 @@
 //!
 //! Emits `BENCH_p2_wire.json`.
 
-use crate::harness::{f2 as fmt2, timed, Report};
+use crate::harness::{f2 as fmt2, timed, write_bench, Report};
 use serde_json::json;
 use std::time::{Duration, Instant};
 use wsda_net::transport::FrameTransport;
@@ -278,11 +278,7 @@ pub fn run(quick: bool) -> Report {
         dev_r * 100.0,
         full.results.len(),
     ));
-    let doc = serde_json::to_string_pretty(&report.to_json()).expect("serialize f24 report");
-    match std::fs::write("BENCH_p2_wire.json", doc + "\n") {
-        Ok(()) => report.note("wrote BENCH_p2_wire.json"),
-        Err(e) => report.note(format!("could not write BENCH_p2_wire.json: {e}")),
-    }
+    write_bench(&mut report, "BENCH_p2_wire.json", quick);
     report
 }
 

@@ -87,6 +87,22 @@ impl Report {
     }
 }
 
+/// Write `report` to `path` as the pretty-printed JSON baseline
+/// (`BENCH_p2_*.json`) and note the outcome under the table. A `--quick`
+/// run is flagged `"quick": true`, so a CI smoke run cannot pass for a
+/// committed full-run baseline.
+pub fn write_bench(report: &mut Report, path: &str, quick: bool) {
+    let mut doc = report.to_json();
+    if let (true, Value::Object(map)) = (quick, &mut doc) {
+        map.insert("quick".to_owned(), Value::Bool(true));
+    }
+    let text = serde_json::to_string_pretty(&doc).expect("serialize report");
+    match std::fs::write(path, text + "\n") {
+        Ok(()) => report.note(format!("wrote {path}")),
+        Err(e) => report.note(format!("could not write {path}: {e}")),
+    }
+}
+
 /// Format a float with 1 decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")

@@ -29,7 +29,7 @@ pub mod sim;
 pub mod tcp;
 pub mod transport;
 
-pub use model::{ChaosPlan, ChurnConfig, CrashWindow, FaultPlan, LatencyModel, NetworkModel};
+pub use model::{ChaosPlan, ChurnConfig, CrashWindow, LatencyModel, NetworkModel};
 pub use sim::{Delivery, NodeId, SimStats, Simulator};
 pub use tcp::{TcpConfig, TcpStats, TcpTransport};
 pub use transport::{

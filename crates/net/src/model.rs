@@ -107,34 +107,6 @@ impl NetworkModel {
     }
 }
 
-/// Fault injection: message drops and dead nodes.
-///
-/// The simple plan kept for API compatibility; it converts into the
-/// richer [`ChaosPlan`] that the simulator and the threaded transport
-/// actually consume.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Probability in `[0,1]` that any message is silently dropped.
-    pub drop_probability: f64,
-    /// Nodes that neither send nor receive.
-    pub dead_nodes: HashSet<NodeId>,
-}
-
-impl FaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Should this message be dropped?
-    pub fn drops(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> bool {
-        if self.dead_nodes.contains(&from) || self.dead_nodes.contains(&to) {
-            return true;
-        }
-        self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability.min(1.0))
-    }
-}
-
 /// A scheduled crash (and optional restart) of one node.
 ///
 /// The node is unreachable — neither sends nor receives — during
@@ -159,10 +131,9 @@ impl CrashWindow {
 
 /// Failure-is-the-norm fault injection for the P2P query plane.
 ///
-/// Generalizes [`FaultPlan`] with the failure modes a wide-area
-/// deployment actually exhibits: probabilistic loss, duplicated
-/// deliveries, delay jitter, partitioned links, and peers that crash
-/// and later restart. One plan drives both the discrete-event
+/// The failure modes a wide-area deployment actually exhibits:
+/// probabilistic loss, duplicated deliveries, delay jitter, partitioned
+/// links, dead peers, and peers that crash and later restart. One plan drives both the discrete-event
 /// simulator and the live [`crate::ThreadedNetwork`].
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
@@ -334,16 +305,6 @@ impl ChurnConfig {
     }
 }
 
-impl From<FaultPlan> for ChaosPlan {
-    fn from(plan: FaultPlan) -> ChaosPlan {
-        ChaosPlan {
-            drop_probability: plan.drop_probability,
-            dead_nodes: plan.dead_nodes,
-            ..ChaosPlan::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,17 +357,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan() {
+    fn chaos_dead_nodes_and_certain_loss() {
         let mut r = rng();
-        let none = FaultPlan::none();
-        assert!(!none.drops(NodeId(0), NodeId(1), &mut r));
-        let dead =
-            FaultPlan { drop_probability: 0.0, dead_nodes: [NodeId(3)].into_iter().collect() };
-        assert!(dead.drops(NodeId(3), NodeId(1), &mut r));
-        assert!(dead.drops(NodeId(1), NodeId(3), &mut r));
-        assert!(!dead.drops(NodeId(1), NodeId(2), &mut r));
-        let lossy = FaultPlan { drop_probability: 1.0, dead_nodes: HashSet::new() };
-        assert!(lossy.drops(NodeId(1), NodeId(2), &mut r));
+        assert!(!ChaosPlan::none().drops(NodeId(0), NodeId(1), 0, &mut r));
+        let dead = ChaosPlan::none().with_dead(NodeId(3));
+        assert!(dead.drops(NodeId(3), NodeId(1), 0, &mut r));
+        assert!(dead.drops(NodeId(1), NodeId(3), 0, &mut r));
+        assert!(!dead.drops(NodeId(1), NodeId(2), 0, &mut r));
+        let lossy = ChaosPlan::none().with_drops(1.0);
+        assert!((0..50).all(|i| lossy.drops(NodeId(i), NodeId(i + 1), i.into(), &mut r)));
     }
 
     #[test]
@@ -469,16 +428,5 @@ mod tests {
         assert!((r - 0.5).abs() < 0.02, "rejoin rate {r}");
         // Leave and rejoin draws are decorrelated (different salts).
         assert!((0..trials).any(|t| plan.leaves(t, NodeId(7)) != plan.rejoins(t, NodeId(7))));
-    }
-
-    #[test]
-    fn faultplan_converts_to_chaos() {
-        let fault =
-            FaultPlan { drop_probability: 0.25, dead_nodes: [NodeId(9)].into_iter().collect() };
-        let chaos: ChaosPlan = fault.into();
-        assert_eq!(chaos.drop_probability, 0.25);
-        assert!(chaos.node_down(NodeId(9), 0));
-        assert_eq!(chaos.duplicate_probability, 0.0);
-        assert_eq!(chaos.jitter_ms, 0);
     }
 }

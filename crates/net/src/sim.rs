@@ -121,14 +121,13 @@ pub struct Simulator<M> {
 }
 
 impl<M> Simulator<M> {
-    /// A simulator over the given network model, fault/chaos plan and RNG
-    /// seed. Accepts a plain [`crate::FaultPlan`] or a full [`ChaosPlan`].
-    pub fn new(model: NetworkModel, faults: impl Into<ChaosPlan>, seed: u64) -> Self {
+    /// A simulator over the given network model, chaos plan and RNG seed.
+    pub fn new(model: NetworkModel, chaos: ChaosPlan, seed: u64) -> Self {
         Simulator {
             clock: Arc::new(ManualClock::new()),
             queue: BinaryHeap::new(),
             model,
-            chaos: faults.into(),
+            chaos,
             rng: StdRng::seed_from_u64(seed),
             seq: 0,
             stats: SimStats::default(),
@@ -168,9 +167,9 @@ impl<M> Simulator<M> {
         &self.stats
     }
 
-    /// Replace the fault/chaos plan mid-run (crash/heal nodes).
-    pub fn set_faults(&mut self, faults: impl Into<ChaosPlan>) {
-        self.chaos = faults.into();
+    /// Replace the chaos plan mid-run (crash/heal nodes).
+    pub fn set_faults(&mut self, chaos: ChaosPlan) {
+        self.chaos = chaos;
     }
 
     /// The active chaos plan.
@@ -284,10 +283,10 @@ impl<M> Simulator<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FaultPlan, NetworkModel};
+    use crate::model::{ChaosPlan, NetworkModel};
 
     fn sim() -> Simulator<&'static str> {
-        Simulator::new(NetworkModel::constant(10), FaultPlan::none(), 42)
+        Simulator::new(NetworkModel::constant(10), ChaosPlan::none(), 42)
     }
 
     #[test]
@@ -327,11 +326,8 @@ mod tests {
 
     #[test]
     fn fault_plan_drops() {
-        let mut s: Simulator<&str> = Simulator::new(
-            NetworkModel::constant(1),
-            FaultPlan { drop_probability: 1.0, dead_nodes: Default::default() },
-            1,
-        );
+        let mut s: Simulator<&str> =
+            Simulator::new(NetworkModel::constant(1), ChaosPlan::none().with_drops(1.0), 1);
         assert_eq!(s.send(NodeId(0), NodeId(1), "x", 10), None);
         assert_eq!(s.stats().messages_dropped, 1);
         assert_eq!(s.stats().messages_sent, 0);
@@ -447,7 +443,7 @@ mod tests {
     fn determinism_across_runs() {
         let run = || {
             let mut s: Simulator<u32> =
-                Simulator::new(NetworkModel::uniform(1, 50), FaultPlan::none(), 7);
+                Simulator::new(NetworkModel::uniform(1, 50), ChaosPlan::none(), 7);
             for i in 0..20 {
                 s.send(NodeId(0), NodeId(i % 5), i, 0);
             }

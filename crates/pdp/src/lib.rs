@@ -6,8 +6,8 @@
 //!
 //! * [`message`] — the concrete message set: `Query` (with transaction id,
 //!   query text/language, scope and response mode), `Results` (streamable,
-//!   with optional error/metadata), `Invite` (direct-response rendezvous),
-//!   `Close`, `Ping`/`Pong`,
+//!   with metadata), `Partial` (a final that reports lost subtrees), `Ack`,
+//!   `Invite` (direct-response rendezvous), `Close`, `Ping`/`Pong`,
 //! * [`wire`] — a compact length-prefixed binary codec over [`bytes`],
 //!   giving every experiment an honest bytes-on-the-wire measure,
 //! * [`state`] — the per-node **node state table**: transaction state with

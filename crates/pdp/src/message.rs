@@ -9,7 +9,8 @@
 //! * the **scope** travels with the query and is *decremented in place*
 //!   (radius, abort timeout) at every hop,
 //! * results stream: a transaction may carry many `Results` messages; the
-//!   `last` flag closes the sender's side,
+//!   `last` flag closes the sender's side, and a `Partial` closes it while
+//!   reporting the subtrees the sender gave up on,
 //! * `Invite` supports **direct response**: an intermediate node invites
 //!   the originator (or agent) to receive its results directly rather than
 //!   routing them back hop-by-hop.
@@ -173,25 +174,28 @@ pub enum Message {
         /// evaluating and flooding its subtree.
         cached: bool,
     },
-    /// Acknowledge receipt of a `Results` frame (`transaction`, `seq`)
-    /// from the neighbor this ack is sent to. Unacked frames are
-    /// retransmitted; acks make retransmission terminate.
+    /// Acknowledge receipt of a `Results` or `Partial` frame
+    /// (`transaction`, `seq`) from the neighbor this ack is sent to.
+    /// Unacked frames are retransmitted; acks make retransmission
+    /// terminate.
     Ack {
         /// Transaction the acknowledged frame belongs to.
         transaction: TransactionId,
-        /// Sequence number of the acknowledged `Results` frame.
+        /// Sequence number of the acknowledged frame.
         seq: u64,
     },
-    /// A subtree failed: the sender could not complete `transaction`
-    /// (e.g. its children died). Lets parents stop waiting instead of
-    /// running the watchdog to exhaustion.
-    Error {
-        /// Transaction the failure belongs to.
+    /// The sender's final frame when it gave up on `lost` subtrees: it
+    /// closes the sender's side exactly as `Results { last: true }` does,
+    /// and is acked, retransmitted and deduplicated like one.
+    Partial {
+        /// Transaction the frame belongs to.
         transaction: TransactionId,
-        /// The node reporting the failure.
-        origin: Endpoint,
-        /// Human-readable cause (logs, diagnostics).
-        reason: String,
+        /// Per-sender, per-transaction sequence number.
+        seq: u64,
+        /// The result items a lossless final would have carried.
+        items: Vec<ResultItem>,
+        /// Subtrees lost below and at the sender.
+        lost: u64,
     },
     /// Direct-response invitation: "I have results for this transaction;
     /// fetch/receive them at `node`" (section 6.3).
@@ -221,7 +225,7 @@ impl Message {
             Message::Query { transaction, .. }
             | Message::Results { transaction, .. }
             | Message::Ack { transaction, .. }
-            | Message::Error { transaction, .. }
+            | Message::Partial { transaction, .. }
             | Message::Invite { transaction, .. }
             | Message::Close { transaction } => Some(*transaction),
             Message::Ping | Message::Pong => None,
@@ -234,7 +238,7 @@ impl Message {
             Message::Query { .. } => "query",
             Message::Results { .. } => "results",
             Message::Ack { .. } => "ack",
-            Message::Error { .. } => "error",
+            Message::Partial { .. } => "partial",
             Message::Invite { .. } => "invite",
             Message::Close { .. } => "close",
             Message::Ping => "ping",

@@ -2,8 +2,8 @@
 //!
 //! Every node keeps per-transaction state: where the query came from (the
 //! *parent* toward the originator), which neighbors it was forwarded to
-//! (pending *children*), how many results were emitted, and when the state
-//! expires. The table is also the **loop detector**: a `Query` for a
+//! (pending *children*), the next sequence number it sends under, and when
+//! the state expires. The table is also the **loop detector**: a `Query` for a
 //! transaction already present is a duplicate and must not be processed
 //! again. State is retained for the *static loop timeout* so that slow
 //! duplicate deliveries are still recognized after a transaction finishes.
@@ -32,19 +32,13 @@ pub enum BeginOutcome {
 /// Per-transaction state at one node.
 #[derive(Debug, Clone)]
 pub struct TransactionState {
-    /// The transaction id.
-    pub transaction: TransactionId,
     /// Neighbor to route results toward (`None` at the originator).
     pub parent: Option<Sym>,
     /// Neighbors this node forwarded the query to and has not yet seen a
-    /// final `Results` from. Kept sorted for deterministic iteration.
+    /// final frame from. Kept sorted for deterministic iteration.
     pub pending_children: Vec<Sym>,
     /// Whether this node finished its own local evaluation.
     pub local_done: bool,
-    /// Result items already sent toward the originator.
-    pub results_sent: u64,
-    /// Whether a `Close` was seen (suppress further work).
-    pub closed: bool,
     /// When this state was created.
     pub created: Time,
     /// When this state may be forgotten (static loop timeout).
@@ -69,7 +63,7 @@ impl TransactionState {
     }
 }
 
-/// Receiver-side duplicate suppression for `Results` frames.
+/// Receiver-side duplicate suppression for `Results` and `Partial` frames.
 ///
 /// Retransmission makes duplicates the norm, not the exception: a frame
 /// may arrive twice because the ack was lost, or because the network
@@ -160,12 +154,9 @@ impl NodeStateTable {
         self.entries.insert(
             transaction,
             TransactionState {
-                transaction,
                 parent,
                 pending_children: Vec::new(),
                 local_done: false,
-                results_sent: 0,
-                closed: false,
                 created: now,
                 expires: now.plus(loop_timeout_ms),
                 next_seq: 0,
@@ -220,10 +211,9 @@ impl NodeStateTable {
         }
     }
 
-    /// Mark a transaction closed (early termination).
+    /// Close a transaction early: stop waiting on its children.
     pub fn close(&mut self, transaction: &TransactionId) {
         if let Some(s) = self.entries.get_mut(transaction) {
-            s.closed = true;
             s.pending_children.clear();
         }
     }
@@ -325,7 +315,6 @@ mod tests {
         t.add_child(&txn(1), Sym(1));
         t.close(&txn(1));
         let s = t.get(&txn(1)).unwrap();
-        assert!(s.closed);
         assert!(s.pending_children.is_empty());
     }
 
@@ -382,13 +371,5 @@ mod tests {
         assert!(!l.seen(txn(2), Sym(1), 0));
         assert!(l.seen(txn(1), Sym(2), 0));
         assert!(l.record(txn(3), Sym(1), 5), "a rejoined sender starts a fresh stream");
-    }
-
-    #[test]
-    fn results_sent_accounting() {
-        let mut t = NodeStateTable::new();
-        t.begin(txn(1), None, Time(0), 1000);
-        t.get_mut(&txn(1)).unwrap().results_sent += 7;
-        assert_eq!(t.get(&txn(1)).unwrap().results_sent, 7);
     }
 }

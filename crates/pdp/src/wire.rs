@@ -51,7 +51,7 @@ const KIND_CLOSE: u8 = 4;
 const KIND_PING: u8 = 5;
 const KIND_PONG: u8 = 6;
 const KIND_ACK: u8 = 7;
-const KIND_ERROR: u8 = 8;
+const KIND_PARTIAL: u8 = 8;
 
 /// Encode a message into a frame.
 pub fn encode(message: &Message) -> Bytes {
@@ -100,10 +100,7 @@ pub fn encode(message: &Message) -> Bytes {
             buf.put_u8(KIND_RESULTS);
             buf.put_u128(transaction.0);
             buf.put_u64(*seq);
-            buf.put_u32(items.len() as u32);
-            for item in items {
-                put_str(&mut buf, item);
-            }
+            put_items(&mut buf, items);
             buf.put_u8(*last as u8);
             put_str(&mut buf, origin);
             buf.put_u8(*cached as u8);
@@ -113,11 +110,12 @@ pub fn encode(message: &Message) -> Bytes {
             buf.put_u128(transaction.0);
             buf.put_u64(*seq);
         }
-        Message::Error { transaction, origin, reason } => {
-            buf.put_u8(KIND_ERROR);
+        Message::Partial { transaction, seq, items, lost } => {
+            buf.put_u8(KIND_PARTIAL);
             buf.put_u128(transaction.0);
-            put_str(&mut buf, origin);
-            put_str(&mut buf, reason);
+            buf.put_u64(*seq);
+            put_items(&mut buf, items);
+            buf.put_u64(*lost);
         }
         Message::Invite { transaction, node, expected } => {
             buf.put_u8(KIND_INVITE);
@@ -152,19 +150,10 @@ pub fn encoded_len(message: &Message) -> u64 {
             n
         }
         Message::Results { items, origin, .. } => {
-            1 + 16
-                + 8
-                + 4
-                + items.iter().map(|i| 4 + i.len() as u64).sum::<u64>()
-                + 1
-                + 4
-                + origin.len() as u64
-                + 1
+            1 + 16 + 8 + items_len(items) + 1 + 4 + origin.len() as u64 + 1
         }
         Message::Ack { .. } => 1 + 16 + 8,
-        Message::Error { origin, reason, .. } => {
-            1 + 16 + 4 + origin.len() as u64 + 4 + reason.len() as u64
-        }
+        Message::Partial { items, .. } => 1 + 16 + 8 + items_len(items) + 8,
         Message::Invite { node, .. } => 1 + 16 + 4 + node.len() as u64 + 8,
         Message::Close { .. } => 1 + 16,
         Message::Ping | Message::Pong => 1,
@@ -225,14 +214,7 @@ pub fn decode(mut frame: &[u8]) -> Result<Message, WireError> {
         KIND_RESULTS => {
             let transaction = TransactionId(get_u128(buf)?);
             let seq = get_u64(buf)?;
-            let n = get_u32(buf)? as u64;
-            if n > MAX_LEN {
-                return Err(WireError::LengthOverflow(n));
-            }
-            let mut items = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                items.push(get_str(buf)?);
-            }
+            let items = get_items(buf)?;
             let last = get_u8(buf)? != 0;
             let origin = get_str(buf)?;
             let cached = get_u8(buf)? != 0;
@@ -243,11 +225,12 @@ pub fn decode(mut frame: &[u8]) -> Result<Message, WireError> {
             let seq = get_u64(buf)?;
             Ok(Message::Ack { transaction, seq })
         }
-        KIND_ERROR => {
+        KIND_PARTIAL => {
             let transaction = TransactionId(get_u128(buf)?);
-            let origin = get_str(buf)?;
-            let reason = get_str(buf)?;
-            Ok(Message::Error { transaction, origin, reason })
+            let seq = get_u64(buf)?;
+            let items = get_items(buf)?;
+            let lost = get_u64(buf)?;
+            Ok(Message::Partial { transaction, seq, items, lost })
         }
         KIND_INVITE => {
             let transaction = TransactionId(get_u128(buf)?);
@@ -265,6 +248,17 @@ pub fn decode(mut frame: &[u8]) -> Result<Message, WireError> {
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
+}
+
+fn put_items(buf: &mut BytesMut, items: &[String]) {
+    buf.put_u32(items.len() as u32);
+    for item in items {
+        put_str(buf, item);
+    }
+}
+
+fn items_len(items: &[String]) -> u64 {
+    4 + items.iter().map(|i| 4 + i.len() as u64).sum::<u64>()
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
@@ -293,6 +287,18 @@ fn get_u128(buf: &mut &[u8]) -> Result<u128, WireError> {
         return Err(WireError::Truncated);
     }
     Ok(buf.get_u128())
+}
+
+fn get_items(buf: &mut &[u8]) -> Result<Vec<String>, WireError> {
+    let n = get_u32(buf)? as u64;
+    if n > MAX_LEN {
+        return Err(WireError::LengthOverflow(n));
+    }
+    let mut items = Vec::with_capacity(n.min(1024) as usize);
+    for _ in 0..n {
+        items.push(get_str(buf)?);
+    }
+    Ok(items)
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String, WireError> {
@@ -343,10 +349,11 @@ mod tests {
                 cached: true,
             },
             Message::Ack { transaction: TransactionId::derive(1, 4), seq: 3 },
-            Message::Error {
+            Message::Partial {
                 transaction: TransactionId::derive(1, 5),
-                origin: "n9".into(),
-                reason: "subtree lost".into(),
+                seq: 4,
+                items: vec!["<c/>".into()],
+                lost: 2,
             },
             Message::Invite {
                 transaction: TransactionId::derive(1, 2),

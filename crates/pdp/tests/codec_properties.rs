@@ -1,5 +1,6 @@
 //! Property tests for the PDP wire codec: encode∘decode is the identity,
-//! the size model is exact, and the decoder is total on arbitrary bytes.
+//! the size model is exact, the decoder is total on arbitrary bytes, and a
+//! lossless `Results` frame keeps its exact encoding.
 
 use proptest::prelude::*;
 use wsda_pdp::{
@@ -67,9 +68,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }),
         (txn.clone(), any::<u64>())
             .prop_map(|(transaction, seq)| Message::Ack { transaction, seq }),
-        (txn.clone(), "[a-z0-9]{1,8}", "\\PC{0,32}").prop_map(|(transaction, origin, reason)| {
-            Message::Error { transaction, origin, reason }
-        }),
+        (txn.clone(), any::<u64>(), proptest::collection::vec("\\PC{0,32}", 0..8), any::<u64>())
+            .prop_map(|(transaction, seq, items, lost)| Message::Partial {
+                transaction,
+                seq,
+                items,
+                lost
+            }),
         (txn.clone(), "[a-z0-9]{1,8}", any::<u64>()).prop_map(|(transaction, node, expected)| {
             Message::Invite { transaction, node, expected }
         }),
@@ -77,6 +82,29 @@ fn arb_message() -> impl Strategy<Value = Message> {
         Just(Message::Ping),
         Just(Message::Pong),
     ]
+}
+
+#[test]
+fn results_frames_keep_their_encoding() {
+    // Wire figures, golden byte counts and external encoders depend on it.
+    let m = Message::Results {
+        transaction: TransactionId(0x0102),
+        seq: 5,
+        items: vec!["<a/>".into()],
+        last: true,
+        origin: "n7".into(),
+        cached: false,
+    };
+    let want: &[u8] = &[
+        2, // kind
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, // transaction
+        0, 0, 0, 0, 0, 0, 0, 5, // seq
+        0, 0, 0, 1, 0, 0, 0, 4, b'<', b'a', b'/', b'>', // one four-byte item
+        1,    // last
+        0, 0, 0, 2, b'n', b'7', // origin
+        0,    // cached
+    ];
+    assert_eq!(&encode(&m)[..], want);
 }
 
 proptest! {

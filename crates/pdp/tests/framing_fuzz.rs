@@ -27,10 +27,11 @@ fn message(kind: u8, a: u64, s: &str) -> Message {
             cached: a.is_multiple_of(3),
         },
         2 => Message::Ack { transaction: TransactionId(a as u128), seq: a },
-        3 => Message::Error {
+        3 => Message::Partial {
             transaction: TransactionId(a as u128),
-            origin: format!("n{}", a % 5),
-            reason: s.to_owned(),
+            seq: a,
+            items: vec![format!("<p>{s}</p>")],
+            lost: a % 4 + 1,
         },
         4 => Message::Invite {
             transaction: TransactionId(a as u128),

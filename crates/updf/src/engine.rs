@@ -52,7 +52,7 @@ use crate::node::{
     corpus_seed, evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode,
     Timer,
 };
-use crate::recovery::{Completeness, RecoveryConfig};
+use crate::recovery::{completeness, Completeness, RecoveryConfig};
 use crate::selection::{NodeKinds, RoutingIndex};
 use crate::topology::Topology;
 
@@ -60,7 +60,7 @@ use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-use wsda_net::model::{ChaosPlan, ChurnConfig, FaultPlan, NetworkModel};
+use wsda_net::model::{ChaosPlan, ChurnConfig, NetworkModel};
 use wsda_net::{Delivery, NodeId, Simulator};
 use wsda_obs::{Gauge, MetricsRegistry, QueryTrace, TraceBuffer, TraceEvent, TraceKind};
 use wsda_pdp::{
@@ -366,18 +366,18 @@ impl SimNetwork {
     /// Build a network: one hyper registry per topology node, populated
     /// with `config.tuples_per_node` synthetic services.
     pub fn build(topology: Topology, model: NetworkModel, config: P2pConfig) -> SimNetwork {
-        Self::build_with_faults(topology, model, FaultPlan::none(), config)
+        Self::build_with_faults(topology, model, ChaosPlan::none(), config)
     }
 
-    /// Build with a fault plan — a legacy [`FaultPlan`] or a full
-    /// [`ChaosPlan`] (drops, duplication, jitter, partitions, crashes).
+    /// Build under a [`ChaosPlan`] (drops, duplication, jitter,
+    /// partitions, crashes).
     pub fn build_with_faults(
         topology: Topology,
         model: NetworkModel,
-        faults: impl Into<ChaosPlan>,
+        chaos: ChaosPlan,
         config: P2pConfig,
     ) -> SimNetwork {
-        let mut sim: Simulator<Message> = Simulator::new(model, faults, config.seed);
+        let mut sim: Simulator<Message> = Simulator::new(model, chaos, config.seed);
         if let Some(cap) = config.inbox_capacity {
             // Query frames are sheddable at a full inbox; results, acks and
             // control frames always queue (they finish work already paid for).
@@ -1060,20 +1060,14 @@ impl SimNetwork {
 
     fn finish(&mut self, run: RunState) -> QueryRun {
         let mut metrics = run.metrics;
-        metrics.deadline_hit = self.arena.cores[run.origin.0 as usize].finish_run(run.txn);
-        // Abandoned subtrees, aborted nodes and forwards an open breaker
-        // shed all cost the answer a subtree.
-        let lost = metrics.subtrees_abandoned + metrics.node_aborts + metrics.breaker_sheds;
-        let completeness = if lost > 0 || metrics.deadline_hit {
-            Completeness::Partial { subtrees_lost: lost }
-        } else {
-            Completeness::Complete
-        };
+        let (lost, deadline_hit) = self.arena.cores[run.origin.0 as usize].finish_run(run.txn);
+        metrics.errors_received = lost;
+        metrics.deadline_hit = deadline_hit;
         QueryRun {
             results: run.results,
             metrics,
             finished_at: self.sim.now(),
-            completeness,
+            completeness: completeness(lost, deadline_hit),
             transaction: run.txn,
         }
     }

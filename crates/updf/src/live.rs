@@ -38,7 +38,7 @@ use crate::metrics::QueryMetrics;
 use crate::node::{
     evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer,
 };
-use crate::recovery::{Completeness, RecoveryConfig};
+use crate::recovery::{completeness, Completeness, RecoveryConfig};
 use crate::topology::Topology;
 use bytes::BytesMut;
 use crossbeam::channel::RecvTimeoutError;
@@ -82,7 +82,7 @@ pub struct LiveQueryReport {
     pub results: Vec<String>,
     /// Whether every subtree answered.
     pub completeness: Completeness,
-    /// Lost-subtree `Error` frames that reached the client.
+    /// Lost subtrees the entry peer's `Partial` final reported.
     pub errors_received: u64,
     /// Replayed `Results` frames the client suppressed.
     pub replays_suppressed: u64,
@@ -656,7 +656,7 @@ impl LiveNetwork {
 /// deployments (peers in other processes, reached over
 /// [`TcpTransport`]) can drive the same protocol.
 ///
-/// With `ack_results` on, every `Results` frame is acked and replays are
+/// With `ack_results` on, every results frame is acked and replays are
 /// suppressed by sequence number — it must match the peers' recovery
 /// setting, or retransmissions count as duplicates.
 #[allow(clippy::too_many_arguments)]
@@ -714,9 +714,9 @@ pub fn client_query_on(
     let mut results = Vec::new();
     let mut reader = FrameReader::new();
     let mut ledger = ResultLedger::new();
-    let mut errors: u64 = 0;
     let mut replays: u64 = 0;
-    let mut done = false;
+    // The entry peer's final frame, once it arrived: its lost subtrees.
+    let mut closed: Option<u64> = None;
     let deadline = Instant::now() + timeout;
     'outer: loop {
         let now = Instant::now();
@@ -727,44 +727,43 @@ pub fn client_query_on(
             Ok(envelope) => {
                 reader.extend(&envelope.message);
                 while let Ok(Some(message)) = reader.next_message() {
-                    match message {
+                    // A `Partial` closes the entry peer's side like a final
+                    // `Results` frame, carrying the subtrees it lost.
+                    let (transaction, seq, items, last) = match message {
                         Message::Results { transaction, seq, items, last, .. } => {
-                            if transaction != txn {
-                                continue;
-                            }
-                            if ack_results {
-                                let ack = Message::Ack { transaction, seq };
-                                send(transport, client_id, envelope.from, &ack);
-                                if !ledger.record(transaction, Sym(envelope.from.0), seq) {
-                                    replays += 1;
-                                    continue;
-                                }
-                            }
-                            results.extend(items);
-                            if last {
-                                done = true;
-                                break 'outer;
-                            }
+                            (transaction, seq, items, last.then_some(0))
                         }
-                        Message::Error { transaction, .. } if transaction == txn => {
-                            errors += 1;
+                        Message::Partial { transaction, seq, items, lost } => {
+                            (transaction, seq, items, Some(lost))
                         }
-                        _ => {}
+                        _ => continue,
+                    };
+                    if transaction != txn {
+                        continue;
+                    }
+                    if ack_results {
+                        let ack = Message::Ack { transaction, seq };
+                        send(transport, client_id, envelope.from, &ack);
+                        if !ledger.record(transaction, Sym(envelope.from.0), seq) {
+                            replays += 1;
+                            continue;
+                        }
+                    }
+                    results.extend(items);
+                    if last.is_some() {
+                        closed = last;
+                        break 'outer;
                     }
                 }
             }
             Err(_) => break,
         }
     }
-    let completeness = if done && errors == 0 {
-        Completeness::Complete
-    } else {
-        Completeness::Partial { subtrees_lost: errors.max(u64::from(!done)) }
-    };
+    let lost = closed.unwrap_or(0);
     LiveQueryReport {
         results,
-        completeness,
-        errors_received: errors,
+        completeness: completeness(lost, closed.is_none()),
+        errors_received: lost,
         replays_suppressed: replays,
         transaction: txn,
     }

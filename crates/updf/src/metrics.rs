@@ -4,10 +4,6 @@ use std::collections::BTreeMap;
 use wsda_registry::clock::Time;
 
 /// Metrics collected while executing one query over the network.
-///
-/// `PartialEq`/`Eq` exist for the scheduler-equivalence proptests: a
-/// parallel event loop must produce a *identical* metrics struct to the
-/// sequential one, field for field.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryMetrics {
     /// Messages sent, by PDP message kind.
@@ -50,7 +46,8 @@ pub struct QueryMetrics {
     pub acks_timed_out: u64,
     /// Forwarded subtrees abandoned by the child-liveness watchdog.
     pub subtrees_abandoned: u64,
-    /// Lost-subtree `Error` notifications that reached the originator.
+    /// Lost subtrees the originator counted in-band: its own, plus those
+    /// its children's `Partial` finals carried.
     pub errors_received: u64,
     /// Replayed `Results` frames suppressed by sequence-number dedup
     /// (retransmissions and network duplicates).

@@ -243,19 +243,6 @@ pub(crate) fn publish_corpus(registry: &HyperRegistry, seed: u64, node: u32, tup
     }
 }
 
-/// A subtree is lost (shed by a breaker, abandoned by the watchdog, or
-/// given up by a node abort): tell the parent, so the loss travels to the
-/// originator, or count it here at the originator.
-fn report_lost(env: &mut Env<'_>, txn: TransactionId, parent: Option<NodeId>, reason: &str) {
-    match parent {
-        Some(p) => {
-            let origin = env.endpoint.to_owned();
-            env.send(p, Message::Error { transaction: txn, origin, reason: reason.to_owned() });
-        }
-        None => env.metrics.errors_received += 1,
-    }
-}
-
 fn parse_endpoint(e: &str) -> Option<NodeId> {
     e.strip_prefix('n').and_then(|s| s.parse().ok()).map(NodeId)
 }
@@ -299,6 +286,16 @@ impl Txn {
             work.cache_items.clear();
         }
     }
+
+    /// `n` subtrees below this node are lost: the answer is no longer one
+    /// to cache, and the count rides the node's final frame upward (the
+    /// originator keeps it for [`NodeCore::finish_run`]).
+    fn lose(&mut self, n: u64) {
+        self.spoil_cache();
+        if let Some(work) = self.work.as_deref_mut() {
+            work.lost += n;
+        }
+    }
 }
 
 /// What a node needs while it works on a transaction (a referral relay
@@ -334,6 +331,9 @@ struct Work {
     /// Peers whose results fed `cache_items`, so a later departure can
     /// purge the entries their data reached.
     cache_sources: Vec<u32>,
+    /// Subtrees lost at or below this node so far; a nonzero count makes
+    /// the final frame a `Partial`.
+    lost: u64,
 }
 
 /// The originator's view of a run it started.
@@ -348,6 +348,26 @@ struct Run {
     /// from cache): the delivered set is second-hand and must not be
     /// re-installed in the origin's result cache.
     saw_cached: bool,
+    /// Children whose edge a lossless last frame closed. In direct and
+    /// referral modes that frame is a child's data, and the child's own
+    /// final, perhaps a `Partial`, still follows.
+    closed_lossless: Vec<NodeId>,
+}
+
+impl Run {
+    /// Whether a last frame from `from` carrying `lost` closes its edge for
+    /// loss accounting: it closes a pending edge, or it is the final that
+    /// follows a child's data frame.
+    fn closes_edge(&mut self, from: NodeId, lost: u64, pending: bool) -> bool {
+        if pending {
+            if lost == 0 {
+                self.closed_lossless.push(from);
+            }
+            return true;
+        }
+        let at = self.closed_lossless.iter().position(|&c| c == from);
+        at.map(|i| self.closed_lossless.swap_remove(i)).is_some()
+    }
 }
 
 /// One PDP node's protocol state. An idle node owns no heap.
@@ -483,15 +503,19 @@ impl NodeCore {
             max_results: scope.max_results,
             delivered: 0,
             saw_cached: false,
+            closed_lossless: Vec::new(),
         }));
         // The origin deadline mirrors the scope's abort budget.
         env.schedule(scope.abort_timeout_ms, false, Timer::OriginDeadline { txn });
     }
 
-    /// End the run this node originated; true when its deadline fired
-    /// before it completed.
-    pub fn finish_run(&mut self, txn: TransactionId) -> bool {
-        self.run.take().filter(|r| r.txn == txn).is_some_and(|r| r.deadline_hit)
+    /// End the run this node originated: the subtrees it lost, its own
+    /// and those its children's `Partial` finals reported, and whether its
+    /// deadline fired before it completed.
+    pub fn finish_run(&mut self, txn: TransactionId) -> (u64, bool) {
+        let deadline_hit = self.run.take().filter(|r| r.txn == txn).is_some_and(|r| r.deadline_hit);
+        let lost = self.txns.get(&txn).and_then(|i| i.work.as_ref()).map_or(0, |w| w.lost);
+        (lost, deadline_hit)
     }
 
     /// A frame arrived from `from`.
@@ -521,15 +545,17 @@ impl NodeCore {
                 );
             }
             Message::Results { transaction, seq, items, last, origin, cached } => {
-                self.on_results(env, from, transaction, seq, items, last, origin, cached);
+                self.on_results(env, from, transaction, seq, items, last, 0, origin, cached);
+            }
+            Message::Partial { transaction, seq, items, lost } => {
+                // A final frame's items travel under its sender's endpoint.
+                let origin = format!("n{}", from.0);
+                self.on_results(env, from, transaction, seq, items, true, lost, origin, false);
             }
             Message::Ack { transaction, seq } => {
                 self.pending_acks.remove(&(transaction, from, seq));
                 env.trace(TraceKind::Ack, transaction, Some(from), None);
                 self.breaker_success(from);
-            }
-            Message::Error { transaction, origin, reason } => {
-                self.on_error(env, transaction, origin, reason);
             }
             Message::Invite { transaction, node, expected } => {
                 self.on_invite(env, transaction, node, expected);
@@ -621,7 +647,7 @@ impl NodeCore {
         match mode {
             ResponseMode::Routed => {
                 if pipeline && !items.is_empty() && !complete {
-                    self.send_results(env, p, txn, items, false, None, false);
+                    self.send_results(env, p, txn, items, None, None, false);
                 } else if let Some(work) =
                     self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut())
                 {
@@ -631,7 +657,7 @@ impl NodeCore {
             ResponseMode::Direct { originator } => {
                 if !items.is_empty() {
                     if let Some(target) = parse_endpoint(&originator) {
-                        self.send_results(env, target, txn, items, true, None, false);
+                        self.send_results(env, target, txn, items, Some(0), None, false);
                     }
                 }
             }
@@ -719,7 +745,7 @@ impl NodeCore {
             let held = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut());
             if let (Some(target), Some(work)) = (fetch, held.filter(|w| !w.buffer.is_empty())) {
                 let items = std::mem::take(&mut work.buffer);
-                self.send_results(env, target, txn, items, true, None, false);
+                self.send_results(env, target, txn, items, Some(0), None, false);
                 return;
             }
             // A replay from the recorded parent (network duplication, or a
@@ -731,7 +757,7 @@ impl NodeCore {
                 self.state.get(&txn).is_some_and(|s| s.parent.is_some() && s.parent == parent_sym);
             if let Some(p) = parent {
                 if !from_recorded_parent {
-                    self.send_results(env, p, txn, Vec::new(), true, None, false);
+                    self.send_results(env, p, txn, Vec::new(), Some(0), None, false);
                 }
             }
             return;
@@ -765,7 +791,7 @@ impl NodeCore {
                 // No evaluation, no forwards: the subtree is complete now.
                 self.state.local_done(&txn);
                 match parent {
-                    Some(p) => self.send_results(env, p, txn, items, true, None, true),
+                    Some(p) => self.send_results(env, p, txn, items, Some(0), None, true),
                     None => {
                         if let Some(run) = self.run_mut(txn) {
                             run.saw_cached = true;
@@ -811,6 +837,7 @@ impl NodeCore {
                     cache_forwarded: false,
                     cache_tainted: false,
                     cache_sources: Vec::new(),
+                    lost: 0,
                 })),
             },
         );
@@ -849,9 +876,8 @@ impl NodeCore {
                         env.send(target, Message::Ping);
                     }
                     if let Some(info) = self.txns.get_mut(&txn) {
-                        info.spoil_cache();
+                        info.lose(1);
                     }
-                    report_lost(env, txn, parent, "breaker open: subtree shed");
                     continue;
                 }
             }
@@ -897,7 +923,7 @@ impl NodeCore {
         } else {
             Vec::new() // direct/referral finals are pure completion acks
         };
-        let (relayed, tainted) = (work.buffer_has_child_items, work.cache_tainted);
+        let (relayed, tainted, lost) = (work.buffer_has_child_items, work.cache_tainted, work.lost);
         let Some(p) = parent else {
             // The originator installs its copy in `complete_at_origin`,
             // from the delivered set.
@@ -928,14 +954,16 @@ impl NodeCore {
             }
         }
         let origin = relayed.then(|| env.endpoint.to_owned());
-        self.send_results(env, p, txn, items, true, origin, tainted);
+        self.send_results(env, p, txn, items, Some(lost), origin, tainted);
     }
 
-    /// Send a `Results` frame to `to`, allocating the per-transaction
+    /// Send a results frame to `to`, allocating the per-transaction
     /// sequence number; with recovery on, the frame is tracked for
-    /// retransmission until acked. `relayed` is `Some(origin)` when the
-    /// frame carries items from children: they count as relayed bytes and
-    /// travel under that origin. `None` sends under this node's endpoint.
+    /// retransmission until acked. `last` is `Some(lost)` for a final
+    /// frame, a `Partial` when `lost > 0`. `relayed` is `Some(origin)` when
+    /// the frame carries items from children: they count as relayed bytes
+    /// and travel under that origin. `None` sends under this node's
+    /// endpoint.
     #[allow(clippy::too_many_arguments)]
     fn send_results(
         &mut self,
@@ -943,15 +971,21 @@ impl NodeCore {
         to: NodeId,
         txn: TransactionId,
         items: Vec<String>,
-        last: bool,
+        last: Option<u64>,
         relayed: Option<String>,
         cached: bool,
     ) {
         let seq = self.state.get_mut(&txn).map(|s| s.alloc_seq()).unwrap_or(0);
         env.trace(TraceKind::Results, txn, Some(to), Some(items.len() as u64));
         let is_relay = relayed.is_some();
-        let origin = relayed.unwrap_or_else(|| env.endpoint.to_owned());
-        let message = Message::Results { transaction: txn, seq, items, last, origin, cached };
+        let message = match last {
+            Some(lost @ 1..) => Message::Partial { transaction: txn, seq, items, lost },
+            _ => {
+                let origin = relayed.unwrap_or_else(|| env.endpoint.to_owned());
+                let last = last.is_some();
+                Message::Results { transaction: txn, seq, items, last, origin, cached }
+            }
+        };
         if is_relay {
             env.metrics.bytes_relayed += encoded_len(&message);
         }
@@ -980,6 +1014,7 @@ impl NodeCore {
         seq: u64,
         items: Vec<String>,
         last: bool,
+        lost: u64,
         origin_ep: String,
         cached: bool,
     ) {
@@ -1007,6 +1042,20 @@ impl NodeCore {
             if let Some(at) = accepted.map(|s| s.created.millis()) {
                 let latency = env.now_ms.saturating_sub(at);
                 env.peers.note_results(from, latency, items.len() as u64);
+            }
+        }
+
+        // A `Partial` that closes a still-pending edge adds its losses; one
+        // from a child already abandoned or aborted was counted then.
+        if last && (lost > 0 || self.run_mut(txn).is_some()) {
+            let pending =
+                self.state.get(&txn).is_some_and(|s| s.pending_children.contains(&from_sym));
+            let closes = match self.run_mut(txn) {
+                Some(run) => run.closes_edge(from, lost, pending),
+                None => pending,
+            };
+            if let (1.., true, Some(info)) = (lost, closes, self.txns.get_mut(&txn)) {
+                info.lose(lost);
             }
         }
 
@@ -1064,7 +1113,7 @@ impl NodeCore {
             }
         }
         if let Some((p, items)) = relay {
-            self.send_results(env, p, txn, items, false, Some(origin_ep), cached);
+            self.send_results(env, p, txn, items, None, Some(origin_ep), cached);
         }
         if last && self.state.child_done(&txn, from_sym) && !aborted {
             self.finalize_node(env, txn);
@@ -1108,34 +1157,30 @@ impl NodeCore {
         }
     }
 
-    /// The abort budget lapsed first: answer with what the node has, after
-    /// an `Error` upward for each piece it gives up (every silent child,
-    /// and the local evaluation if still running), so an originator that
-    /// sees only frames knows the answer is partial.
+    /// The abort budget lapsed first: answer with what the node has, in a
+    /// `Partial` that counts every piece given up (each silent child, and
+    /// the local evaluation if still running), so an originator that sees
+    /// only frames knows the answer is partial.
     fn node_abort(&mut self, env: &mut Env<'_>, txn: TransactionId) {
         let Some(state) = self.state.get(&txn).filter(|s| !s.complete()) else { return };
-        let lost = state.pending_children.len() + usize::from(!state.local_done);
+        let gave_up = state.pending_children.len() as u64 + u64::from(!state.local_done);
         let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted && !i.finalized) else {
             return;
         };
         info.aborted = true;
         info.finalized = true;
         env.metrics.node_aborts += 1;
+        info.lose(gave_up);
         let parent = info.parent;
-        let (items, tainted) = info
-            .work
-            .as_deref_mut()
-            .map_or((Vec::new(), false), |w| (std::mem::take(&mut w.buffer), w.cache_tainted));
-        info.spoil_cache();
+        let (items, tainted, lost) = info.work.as_deref_mut().map_or((Vec::new(), false, 0), |w| {
+            (std::mem::take(&mut w.buffer), w.cache_tainted, w.lost)
+        });
         if parent.is_some() {
             info.work = None;
         }
         self.state.close(&txn);
-        for _ in 0..lost {
-            report_lost(env, txn, parent, "abort timeout: subtree lost");
-        }
         match parent {
-            Some(p) => self.send_results(env, p, txn, items, true, None, tainted),
+            Some(p) => self.send_results(env, p, txn, items, Some(lost), None, tainted),
             None => {
                 self.deliver(env, txn, items);
                 self.complete_at_origin(env, txn);
@@ -1216,8 +1261,7 @@ impl NodeCore {
             return;
         }
         // Abandon: the silent subtrees are lost; degrade instead of hang.
-        // The node's answer is now partial — never cache it.
-        info.cache_ok = false;
+        info.lose(pending.len() as u64);
         env.metrics.subtrees_abandoned += pending.len() as u64;
         for &child_sym in &pending {
             let child = NodeId(child_sym.0);
@@ -1231,32 +1275,12 @@ impl NodeCore {
             }
             self.state.child_done(&txn, child_sym);
         }
-        for _ in &pending {
-            report_lost(env, txn, parent, "watchdog: subtree lost");
-        }
         if self.state.get(&txn).is_some_and(|s| s.complete()) {
             if parent.is_none() {
                 self.complete_at_origin(env, txn);
             } else {
                 self.finalize_node(env, txn);
             }
-        }
-    }
-
-    /// A lost-subtree notification: count it at the originator, relay it
-    /// toward the originator elsewhere.
-    fn on_error(&mut self, env: &mut Env<'_>, txn: TransactionId, origin: String, reason: String) {
-        if self.run_mut(txn).is_some() {
-            env.metrics.errors_received += 1;
-            return;
-        }
-        let parent = self.txns.get_mut(&txn).and_then(|i| {
-            // A lost subtree below us means our aggregate is partial.
-            i.spoil_cache();
-            i.parent
-        });
-        if let Some(p) = parent {
-            env.send(p, Message::Error { transaction: txn, origin, reason });
         }
     }
 
@@ -1297,11 +1321,8 @@ impl NodeCore {
         // Install the originator's freshly completed answer in its own
         // result cache: a routed run that completed cleanly delivered the
         // entire tree's answer here — the one thing worth caching at hop 0.
+        // Any loss spoiled `cache_ok` here, as it does at relays.
         if run.closed || run.saw_cached {
-            return;
-        }
-        let m = &env.metrics;
-        if m.subtrees_abandoned + m.node_aborts + m.errors_received > 0 {
             return;
         }
         let Some(info) = self.txns.get_mut(&txn).filter(|i| i.cache_ok) else { return };

@@ -16,7 +16,8 @@
 //! * **dead-neighbor suspicion** — neighbors that exhaust the retry
 //!   budget are suspected and skipped by later forwards,
 //! * **completeness** — every run reports whether the full tree
-//!   answered or how many subtrees were given up on.
+//!   answered or how many subtrees were given up on: losses ride each
+//!   node's final frame, and both originators decide with [`completeness`].
 
 /// Knobs for acked-results retransmission and the child watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +100,17 @@ impl RecoveryConfig {
 /// subtrees share one lower-bound vocabulary; re-exported here for the
 /// original callers.
 pub use wsda_registry::Completeness;
+
+/// The one completeness rule: an originator's answer is whole when no
+/// lost subtree was reported to it in-band and its run ended before the
+/// deadline. A deadline counts as at least one lost subtree.
+pub fn completeness(lost: u64, deadline_hit: bool) -> Completeness {
+    if lost == 0 && !deadline_hit {
+        Completeness::Complete
+    } else {
+        Completeness::Partial { subtrees_lost: lost.max(u64::from(deadline_hit)) }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,15 +7,24 @@
 //!   flooding every neighbor;
 //! * a node abort reports the subtrees it gives up, so a live client
 //!   whose abort budget lapses before a hung peer answers gets `Partial`;
-//! * an abort budget read off the wire arms a timer, whatever its size.
+//! * an abort budget read off the wire arms a timer, whatever its size;
+//! * losses ride the final frame: a node that gave up on subtrees closes
+//!   its side with an acked, deduplicated `Partial`, and an originator's
+//!   answer is `Complete` exactly when no node lost a subtree and the
+//!   deadline did not fire — also when a child's direct data frame closed
+//!   its edge before that `Partial`.
 
 use std::time::{Duration, Instant};
 
 use wsda_net::model::{ChaosPlan, NetworkModel};
 use wsda_net::NodeId;
-use wsda_pdp::{ResponseMode, Scope};
+use wsda_pdp::{Message, QueryLanguage, ResponseMode, Scope, TransactionId};
 use wsda_registry::Freshness;
-use wsda_updf::{BreakerConfig, LiveNetwork, P2pConfig, RecoveryConfig, SimNetwork, Topology};
+use wsda_updf::node::{Action, CoreConfig, Env, EvalOutcome, NodeCore, Timer};
+use wsda_updf::{
+    BreakerConfig, LiveNetwork, P2pConfig, PeerTable, QueryMetrics, RecoveryConfig, SimNetwork,
+    TimeoutMode, Topology,
+};
 use wsda_xq::Query;
 
 /// The overlay of `overload.rs`: a lossy ring whose breakers trip on the
@@ -132,4 +141,232 @@ fn live_peer_answers_under_a_maximal_abort_budget() {
     let mut got = report.results;
     got.sort();
     assert_eq!(got, expected, "every peer answers as usual");
+}
+
+/// One hand-driven node core and everything its `Env` borrows.
+struct Driven {
+    core: NodeCore,
+    id: NodeId,
+    endpoint: String,
+    neighbors: Vec<NodeId>,
+    peers: PeerTable,
+    metrics: QueryMetrics,
+}
+
+impl Driven {
+    fn new(id: u32, neighbors: &[u32]) -> Driven {
+        Driven {
+            core: NodeCore::new(0, 0),
+            id: NodeId(id),
+            endpoint: format!("n{id}"),
+            neighbors: neighbors.iter().copied().map(NodeId).collect(),
+            peers: PeerTable::new(),
+            metrics: QueryMetrics::default(),
+        }
+    }
+
+    /// Hand the core one input and return the actions it emitted.
+    fn step(
+        &mut self,
+        cfg: &CoreConfig,
+        input: impl FnOnce(&mut NodeCore, &mut Env<'_>),
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        let mut env = Env {
+            cfg,
+            node: self.id,
+            endpoint: &self.endpoint,
+            now_ms: 0,
+            neighbors: &self.neighbors,
+            peers: &mut self.peers,
+            routing: None,
+            registry: None,
+            metrics: &mut self.metrics,
+            out: &mut out,
+        };
+        input(&mut self.core, &mut env);
+        out
+    }
+}
+
+fn sends_to(actions: &[Action], to: NodeId) -> Vec<Message> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send { to: t, message } if *t == to => Some(message.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn an_abandoned_child_rides_the_final_frame_as_an_acked_partial() {
+    let cfg = CoreConfig {
+        hop_cost_ms: 0,
+        timeout_mode: TimeoutMode::DynamicAbort,
+        recovery: RecoveryConfig::on(),
+        result_cache: false,
+        lifecycle: false,
+        trace: false,
+        client: None,
+    };
+    let txn = TransactionId::derive(7, 1);
+    let (p_id, x_id, c_id) = (NodeId(0), NodeId(1), NodeId(2));
+    // P originates and forwards to X; X forwards to C, which never answers.
+    let mut p = Driven::new(0, &[1]);
+    let mut x = Driven::new(1, &[0, 2]);
+    let out = p.step(&cfg, |core, env| {
+        let (scope, mode) = (Scope::default(), ResponseMode::Routed);
+        core.originate(env, txn, "//service", QueryLanguage::XQuery, scope, mode);
+    });
+    let query = sends_to(&out, x_id).pop().expect("P forwards the query to X");
+    let mut to_p = Vec::new();
+    let mut x_out = x.step(&cfg, |core, env| core.on_frame(env, p_id, query));
+    assert_eq!(sends_to(&x_out, c_id).len(), 1, "X forwards to C");
+    for attempt in [0, 1] {
+        to_p.extend(sends_to(&x_out, p_id));
+        let timer = Timer::ChildWatchdog { txn, attempt };
+        x_out = x.step(&cfg, |core, env| core.on_timer(env, timer));
+    }
+    assert_eq!(x.metrics.subtrees_abandoned, 1, "attempt 1 abandons C");
+    to_p.extend(sends_to(&x_out, p_id));
+    let outcome = EvalOutcome { items: vec!["<owner>x</owner>".to_owned()], ..Default::default() };
+    x_out = x.step(&cfg, |core, env| core.on_eval_done(env, txn, outcome));
+    to_p.extend(sends_to(&x_out, p_id));
+
+    let finals: Vec<&Message> = to_p
+        .iter()
+        .filter(|m| matches!(m, Message::Partial { .. } | Message::Results { last: true, .. }))
+        .collect();
+    assert_eq!(finals.len(), 1, "exactly one frame closes the edge: {to_p:?}");
+    let partial = finals[0].clone();
+    let Message::Partial { seq, ref items, lost, .. } = partial else {
+        panic!("the closing frame must be a Partial, got {partial:?}");
+    };
+    assert_eq!(lost, 1, "one abandoned subtree");
+    assert_eq!(items, &["<owner>x</owner>".to_owned()], "it carries the buffered items");
+    let retry = Timer::RetryResults { txn, to: p_id, seq };
+    assert!(
+        x_out.iter().any(|a| matches!(a, Action::Schedule { timer, .. } if *timer == retry)),
+        "the Partial is retransmitted until acked: {x_out:?}"
+    );
+
+    // The parent acks both copies and counts the loss once.
+    let mut acks = 0;
+    for _ in 0..2 {
+        let frame = partial.clone();
+        let out = p.step(&cfg, |core, env| core.on_frame(env, x_id, frame));
+        acks += sends_to(&out, x_id)
+            .iter()
+            .filter(|m| matches!(m, Message::Ack { seq: s, .. } if *s == seq))
+            .count();
+    }
+    assert_eq!(acks, 2, "every copy is acked");
+    assert_eq!(p.metrics.replays_suppressed, 1, "the second copy is a replay");
+    assert_eq!(p.core.finish_run(txn), (1, false), "the loss is counted once, no deadline");
+}
+
+#[test]
+fn sim_answers_are_complete_exactly_when_nothing_was_lost() {
+    let drop_rates = [0.0, 0.05, 0.15, 0.25, 0.35];
+    let (mut runs, mut partial) = (0, 0);
+    for seed in 0..120u64 {
+        let topology = match seed % 3 {
+            0 => Topology::tree(10, 2),
+            1 => Topology::ring(9),
+            _ => Topology::random_connected(10, 3.0, seed),
+        };
+        let recovery_on = (seed / 3) % 2 == 1;
+        let breakers_on = (seed / 6) % 2 == 1;
+        let pipeline = (seed / 12) % 2 == 1;
+        let drops = drop_rates[(seed / 24) as usize % drop_rates.len()];
+        let recovery = RecoveryConfig {
+            enabled: recovery_on,
+            breaker: BreakerConfig {
+                enabled: breakers_on,
+                failure_threshold: 1,
+                open_ms: 10_000_000,
+                probe_timeout_ms: 300,
+            },
+            ..RecoveryConfig::on()
+        };
+        let config = P2pConfig { recovery, tuples_per_node: 2, seed, ..P2pConfig::default() };
+        let plan = ChaosPlan::none().with_drops(drops);
+        let model = NetworkModel::uniform(5, 25);
+        let mut net = SimNetwork::build_with_faults(topology, model, plan, config);
+        for origin in [0, 5] {
+            let scope = Scope { abort_timeout_ms: 6_000, pipeline, ..Scope::default() };
+            let run = net.run_query(NodeId(origin), "//service/owner", scope, ResponseMode::Routed);
+            let m = &run.metrics;
+            let lost_somewhere = m.subtrees_abandoned + m.node_aborts + m.breaker_sheds > 0;
+            assert_eq!(
+                run.completeness.is_complete(),
+                !lost_somewhere && !m.deadline_hit,
+                "seed {seed}, origin {origin}, drops {drops}, recovery {recovery_on}, \
+                 breakers {breakers_on}, pipeline {pipeline}: {} with {m:?}",
+                run.completeness,
+            );
+            runs += 1;
+            partial += usize::from(!run.completeness.is_complete());
+        }
+    }
+    assert_eq!(runs, 240);
+    assert!(
+        (40..200).contains(&partial),
+        "both outcomes are exercised: {partial} of {runs} partial"
+    );
+}
+
+#[test]
+fn a_childs_partial_still_counts_after_its_direct_data_frame() {
+    // In direct and referral modes n1's data reaches the originator as a
+    // last frame and closes its edge before n1 abandons the dead n3.
+    let modes = [ResponseMode::Direct { originator: "n0".to_owned() }, ResponseMode::Referral];
+    for mode in modes {
+        let config = P2pConfig { recovery: RecoveryConfig::on(), ..P2pConfig::default() };
+        let plan = ChaosPlan::none().with_dead(NodeId(3));
+        let model = NetworkModel::constant(10);
+        let mut net = SimNetwork::build_with_faults(Topology::tree(7, 2), model, plan, config);
+        let run = net.run_query(NodeId(0), "//service/owner", Scope::default(), mode.clone());
+        assert_eq!(run.metrics.subtrees_abandoned, 1, "{mode:?}");
+        assert_eq!(run.completeness.subtrees_lost(), 1, "{mode:?}: {}", run.completeness);
+    }
+}
+
+/// One live query on a lossy `tree(7, 2)` whose peer `n1` is dead: a
+/// description of the answer if it reads `Complete` yet misses items.
+fn complete_but_short(seed: u64) -> Option<String> {
+    let recovery = RecoveryConfig {
+        ack_timeout_ms: 40,
+        watchdog_timeout_ms: 200,
+        max_retries: 3,
+        breaker: BreakerConfig::default(),
+        ..RecoveryConfig::live_default()
+    };
+    let plan = ChaosPlan::none().with_drops(0.3);
+    let mut net = LiveNetwork::start_chaos(Topology::tree(7, 2), 2, seed, recovery, plan);
+    let query = Query::parse("//service/owner").unwrap();
+    let truth: usize = (0..7).map(|i| local_items(&net, NodeId(i), &query).len()).sum();
+    net.kill(NodeId(1));
+    // Store-and-forward: every item travels in an acked final frame.
+    let scope = Scope { pipeline: false, ..Scope::default() };
+    let report = net.query_with_scope(NodeId(0), "//service/owner", scope, Duration::from_secs(2));
+    let short = report.completeness.is_complete() && report.results.len() < truth;
+    short.then(|| format!("seed {seed}: complete with {} of {truth} items", report.results.len()))
+}
+
+#[test]
+fn live_answers_missing_a_dead_subtree_never_read_complete() {
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4u64)
+            .map(|w| {
+                s.spawn(move || {
+                    let seeds = (1..=24).filter(|seed| seed % 4 == w);
+                    seeds.filter_map(complete_but_short).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    assert!(failures.is_empty(), "a lost subtree went unreported: {failures:?}");
 }

@@ -65,7 +65,7 @@ fn main() {
     let start = Instant::now();
     let partial = net.query_full(NodeId(0), QUERY, None, Duration::from_secs(20));
     println!(
-        "hung peer n1 : {} items, {} ({} error frames) in {:?}",
+        "hung peer n1 : {} items, {} ({} lost subtrees reported) in {:?}",
         partial.results.len(),
         partial.completeness,
         partial.errors_received,
