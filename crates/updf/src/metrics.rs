@@ -46,8 +46,9 @@ pub struct QueryMetrics {
     pub acks_timed_out: u64,
     /// Forwarded subtrees abandoned by the child-liveness watchdog.
     pub subtrees_abandoned: u64,
-    /// Lost subtrees the originator counted in-band: its own, plus those
-    /// its children's `Partial` finals carried.
+    /// Lost subtrees the originator counted in-band: its own, those its
+    /// children's `Partial` finals carried, and one per direct or referral
+    /// child whose final never followed its data frame.
     pub errors_received: u64,
     /// Replayed `Results` frames suppressed by sequence-number dedup
     /// (retransmissions and network duplicates).

@@ -293,7 +293,8 @@ impl Txn {
     fn lose(&mut self, n: u64) {
         self.spoil_cache();
         if let Some(work) = self.work.as_deref_mut() {
-            work.lost += n;
+            // `n` may come off the wire: a huge count must not wrap to zero.
+            work.lost = work.lost.saturating_add(n);
         }
     }
 }
@@ -348,26 +349,10 @@ struct Run {
     /// from cache): the delivered set is second-hand and must not be
     /// re-installed in the origin's result cache.
     saw_cached: bool,
-    /// Children whose edge a lossless last frame closed. In direct and
-    /// referral modes that frame is a child's data, and the child's own
-    /// final, perhaps a `Partial`, still follows.
-    closed_lossless: Vec<NodeId>,
-}
-
-impl Run {
-    /// Whether a last frame from `from` carrying `lost` closes its edge for
-    /// loss accounting: it closes a pending edge, or it is the final that
-    /// follows a child's data frame.
-    fn closes_edge(&mut self, from: NodeId, lost: u64, pending: bool) -> bool {
-        if pending {
-            if lost == 0 {
-                self.closed_lossless.push(from);
-            }
-            return true;
-        }
-        let at = self.closed_lossless.iter().position(|&c| c == from);
-        at.map(|i| self.closed_lossless.swap_remove(i)).is_some()
-    }
+    /// Direct and referral runs: children whose data frame closed their
+    /// edge and whose own final, perhaps a `Partial`, has not come yet. One
+    /// that never comes is a lost subtree.
+    awaiting_final: Vec<NodeId>,
 }
 
 /// One PDP node's protocol state. An idle node owns no heap.
@@ -503,19 +488,22 @@ impl NodeCore {
             max_results: scope.max_results,
             delivered: 0,
             saw_cached: false,
-            closed_lossless: Vec::new(),
+            awaiting_final: Vec::new(),
         }));
         // The origin deadline mirrors the scope's abort budget.
         env.schedule(scope.abort_timeout_ms, false, Timer::OriginDeadline { txn });
     }
 
-    /// End the run this node originated: the subtrees it lost, its own
-    /// and those its children's `Partial` finals reported, and whether its
+    /// End the run this node originated: the subtrees it lost (its own,
+    /// those its children's `Partial` finals reported, and one per child
+    /// whose final never followed its data frame), and whether its
     /// deadline fired before it completed.
     pub fn finish_run(&mut self, txn: TransactionId) -> (u64, bool) {
-        let deadline_hit = self.run.take().filter(|r| r.txn == txn).is_some_and(|r| r.deadline_hit);
+        let run = self.run.take().filter(|r| r.txn == txn);
+        let (unclosed, deadline_hit) =
+            run.map_or((0, false), |r| (r.awaiting_final.len() as u64, r.deadline_hit));
         let lost = self.txns.get(&txn).and_then(|i| i.work.as_ref()).map_or(0, |w| w.lost);
-        (lost, deadline_hit)
+        (lost.saturating_add(unclosed), deadline_hit)
     }
 
     /// A frame arrived from `from`.
@@ -1046,15 +1034,26 @@ impl NodeCore {
         }
 
         // A `Partial` that closes a still-pending edge adds its losses; one
-        // from a child already abandoned or aborted was counted then.
+        // from a child already abandoned or aborted was counted then. In a
+        // direct or referral run a child's data frame closes its edge at
+        // the originator, which then waits for that child's final.
         if last && (lost > 0 || self.run_mut(txn).is_some()) {
             let pending =
                 self.state.get(&txn).is_some_and(|s| s.pending_children.contains(&from_sym));
-            let closes = match self.run_mut(txn) {
-                Some(run) => run.closes_edge(from, lost, pending),
+            let data =
+                lost == 0 && !items.is_empty() && self.txns.get(&txn).is_some_and(|i| !i.routed);
+            let counts = match self.run_mut(txn) {
+                Some(run) if data => {
+                    run.awaiting_final.extend(pending.then_some(from));
+                    false
+                }
+                Some(run) => {
+                    let awaited = run.awaiting_final.iter().position(|&c| c == from);
+                    pending || awaited.map(|i| run.awaiting_final.swap_remove(i)).is_some()
+                }
                 None => pending,
             };
-            if let (1.., true, Some(info)) = (lost, closes, self.txns.get_mut(&txn)) {
+            if let (1.., true, Some(info)) = (lost, counts, self.txns.get_mut(&txn)) {
                 info.lose(lost);
             }
         }

@@ -9,10 +9,12 @@
 //!   whose abort budget lapses before a hung peer answers gets `Partial`;
 //! * an abort budget read off the wire arms a timer, whatever its size;
 //! * losses ride the final frame: a node that gave up on subtrees closes
-//!   its side with an acked, deduplicated `Partial`, and an originator's
-//!   answer is `Complete` exactly when no node lost a subtree and the
-//!   deadline did not fire — also when a child's direct data frame closed
-//!   its edge before that `Partial`.
+//!   its side with an acked, deduplicated `Partial`, and a routed answer
+//!   is `Complete` exactly when no node lost a subtree and the deadline
+//!   did not fire; a wire loss count saturates, never wraps;
+//! * in direct and referral runs a child's data frame closes its edge at
+//!   the originator, which still counts that child's later `Partial`, and
+//!   counts a final that never comes as a lost subtree.
 
 use std::time::{Duration, Instant};
 
@@ -22,8 +24,8 @@ use wsda_pdp::{Message, QueryLanguage, ResponseMode, Scope, TransactionId};
 use wsda_registry::Freshness;
 use wsda_updf::node::{Action, CoreConfig, Env, EvalOutcome, NodeCore, Timer};
 use wsda_updf::{
-    BreakerConfig, LiveNetwork, P2pConfig, PeerTable, QueryMetrics, RecoveryConfig, SimNetwork,
-    TimeoutMode, Topology,
+    BreakerConfig, LiveNetwork, P2pConfig, PeerTable, QueryMetrics, QueryRun, RecoveryConfig,
+    SimNetwork, TimeoutMode, Topology,
 };
 use wsda_xq::Query;
 
@@ -199,17 +201,21 @@ fn sends_to(actions: &[Action], to: NodeId) -> Vec<Message> {
         .collect()
 }
 
-#[test]
-fn an_abandoned_child_rides_the_final_frame_as_an_acked_partial() {
-    let cfg = CoreConfig {
+fn core_cfg(recovery: RecoveryConfig) -> CoreConfig {
+    CoreConfig {
         hop_cost_ms: 0,
         timeout_mode: TimeoutMode::DynamicAbort,
-        recovery: RecoveryConfig::on(),
+        recovery,
         result_cache: false,
         lifecycle: false,
         trace: false,
         client: None,
-    };
+    }
+}
+
+#[test]
+fn an_abandoned_child_rides_the_final_frame_as_an_acked_partial() {
+    let cfg = core_cfg(RecoveryConfig::on());
     let txn = TransactionId::derive(7, 1);
     let (p_id, x_id, c_id) = (NodeId(0), NodeId(1), NodeId(2));
     // P originates and forwards to X; X forwards to C, which never answers.
@@ -267,43 +273,132 @@ fn an_abandoned_child_rides_the_final_frame_as_an_acked_partial() {
 }
 
 #[test]
-fn sim_answers_are_complete_exactly_when_nothing_was_lost() {
+fn a_huge_wire_loss_count_saturates_instead_of_wrapping() {
+    let cfg = core_cfg(RecoveryConfig::on());
+    let txn = TransactionId::derive(7, 2);
+    let p_id = NodeId(0);
+    // X relays P's query to n2 and n3; each closes its edge with a `Partial`.
+    let mut x = Driven::new(1, &[0, 2, 3]);
+    let query = Message::Query {
+        transaction: txn,
+        query: "//service".to_owned(),
+        language: QueryLanguage::XQuery,
+        scope: Scope::default(),
+        response_mode: ResponseMode::Routed,
+    };
+    let out = x.step(&cfg, |core, env| core.on_frame(env, p_id, query));
+    assert_eq!(sends_to(&out, NodeId(2)).len() + sends_to(&out, NodeId(3)).len(), 2);
+    for (child, lost) in [(2, 1), (3, u64::MAX)] {
+        let partial = Message::Partial { transaction: txn, seq: 0, items: Vec::new(), lost };
+        x.step(&cfg, |core, env| core.on_frame(env, NodeId(child), partial));
+    }
+    let out = x.step(&cfg, |core, env| core.on_eval_done(env, txn, EvalOutcome::default()));
+    let to_p = sends_to(&out, p_id);
+    assert!(
+        matches!(to_p[..], [Message::Partial { lost: u64::MAX, .. }]),
+        "the final still reports the losses: {to_p:?}"
+    );
+}
+
+#[test]
+fn a_direct_childs_final_counts_after_its_data_frame_and_a_missing_one_is_lost() {
+    // Recovery off: no ledger drops the duplicate data frame.
+    let cfg = core_cfg(RecoveryConfig::default());
+    let c_id = NodeId(1);
+    // The child's final: a `Partial`, a lossless `Results`, or none at all.
+    for (n, final_lost, counted) in [(1, Some(2), 2), (2, Some(0), 0), (3, None, 1)] {
+        let txn = TransactionId::derive(7, 10 + n);
+        let mut o = Driven::new(0, &[1]);
+        let mode = ResponseMode::Direct { originator: "n0".to_owned() };
+        o.step(&cfg, |core, env| {
+            core.originate(env, txn, "//service", QueryLanguage::XQuery, Scope::default(), mode);
+        });
+        let data = Message::Results {
+            transaction: txn,
+            seq: 0,
+            items: vec!["<owner>c</owner>".to_owned()],
+            last: true,
+            origin: "n1".to_owned(),
+            cached: false,
+        };
+        for _ in 0..2 {
+            let frame = data.clone();
+            o.step(&cfg, |core, env| core.on_frame(env, c_id, frame));
+        }
+        let close = final_lost.map(|lost| match lost {
+            0 => Message::Results {
+                transaction: txn,
+                seq: 1,
+                items: Vec::new(),
+                last: true,
+                origin: "n1".to_owned(),
+                cached: false,
+            },
+            _ => Message::Partial { transaction: txn, seq: 1, items: Vec::new(), lost },
+        });
+        if let Some(frame) = close {
+            o.step(&cfg, |core, env| core.on_frame(env, c_id, frame));
+        }
+        assert_eq!(o.core.finish_run(txn), (counted, false), "final {final_lost:?}");
+    }
+}
+
+/// One seeded lossy overlay, queried from two origins in `mode`: each run
+/// with the drop rate and a description of its configuration.
+fn lossy_runs(seed: u64, mode: impl Fn(u32) -> ResponseMode) -> Vec<(QueryRun, f64, String)> {
     let drop_rates = [0.0, 0.05, 0.15, 0.25, 0.35];
+    let topology = match seed % 3 {
+        0 => Topology::tree(10, 2),
+        1 => Topology::ring(9),
+        _ => Topology::random_connected(10, 3.0, seed),
+    };
+    let recovery_on = (seed / 3) % 2 == 1;
+    let breakers_on = (seed / 6) % 2 == 1;
+    let pipeline = (seed / 12) % 2 == 1;
+    let drops = drop_rates[(seed / 24) as usize % drop_rates.len()];
+    let recovery = RecoveryConfig {
+        enabled: recovery_on,
+        breaker: BreakerConfig {
+            enabled: breakers_on,
+            failure_threshold: 1,
+            open_ms: 10_000_000,
+            probe_timeout_ms: 300,
+        },
+        ..RecoveryConfig::on()
+    };
+    let config = P2pConfig { recovery, tuples_per_node: 2, seed, ..P2pConfig::default() };
+    let plan = ChaosPlan::none().with_drops(drops);
+    let model = NetworkModel::uniform(5, 25);
+    let mut net = SimNetwork::build_with_faults(topology, model, plan, config);
+    [0, 5]
+        .into_iter()
+        .map(|origin| {
+            let scope = Scope { abort_timeout_ms: 6_000, pipeline, ..Scope::default() };
+            let mode = mode(origin);
+            let what = format!(
+                "seed {seed}, origin {origin}, {mode:?}, drops {drops}, recovery {recovery_on}, \
+                 breakers {breakers_on}, pipeline {pipeline}"
+            );
+            (net.run_query(NodeId(origin), "//service/owner", scope, mode), drops, what)
+        })
+        .collect()
+}
+
+/// The network-wide oracle: some node abandoned, aborted or shed.
+fn lost_somewhere(m: &QueryMetrics) -> bool {
+    m.subtrees_abandoned + m.node_aborts + m.breaker_sheds > 0
+}
+
+#[test]
+fn sim_answers_are_complete_exactly_when_nothing_was_lost() {
     let (mut runs, mut partial) = (0, 0);
     for seed in 0..120u64 {
-        let topology = match seed % 3 {
-            0 => Topology::tree(10, 2),
-            1 => Topology::ring(9),
-            _ => Topology::random_connected(10, 3.0, seed),
-        };
-        let recovery_on = (seed / 3) % 2 == 1;
-        let breakers_on = (seed / 6) % 2 == 1;
-        let pipeline = (seed / 12) % 2 == 1;
-        let drops = drop_rates[(seed / 24) as usize % drop_rates.len()];
-        let recovery = RecoveryConfig {
-            enabled: recovery_on,
-            breaker: BreakerConfig {
-                enabled: breakers_on,
-                failure_threshold: 1,
-                open_ms: 10_000_000,
-                probe_timeout_ms: 300,
-            },
-            ..RecoveryConfig::on()
-        };
-        let config = P2pConfig { recovery, tuples_per_node: 2, seed, ..P2pConfig::default() };
-        let plan = ChaosPlan::none().with_drops(drops);
-        let model = NetworkModel::uniform(5, 25);
-        let mut net = SimNetwork::build_with_faults(topology, model, plan, config);
-        for origin in [0, 5] {
-            let scope = Scope { abort_timeout_ms: 6_000, pipeline, ..Scope::default() };
-            let run = net.run_query(NodeId(origin), "//service/owner", scope, ResponseMode::Routed);
+        for (run, _, what) in lossy_runs(seed, |_| ResponseMode::Routed) {
             let m = &run.metrics;
-            let lost_somewhere = m.subtrees_abandoned + m.node_aborts + m.breaker_sheds > 0;
             assert_eq!(
                 run.completeness.is_complete(),
-                !lost_somewhere && !m.deadline_hit,
-                "seed {seed}, origin {origin}, drops {drops}, recovery {recovery_on}, \
-                 breakers {breakers_on}, pipeline {pipeline}: {} with {m:?}",
+                !lost_somewhere(m) && !m.deadline_hit,
+                "{what}: {} with {m:?}",
                 run.completeness,
             );
             runs += 1;
@@ -315,6 +410,30 @@ fn sim_answers_are_complete_exactly_when_nothing_was_lost() {
         (40..200).contains(&partial),
         "both outcomes are exercised: {partial} of {runs} partial"
     );
+
+    // Direct and referral: a child's data frame closes its edge at the
+    // originator, and the child's final, perhaps a `Partial`, follows. An
+    // awaited final that never comes counts as a lost subtree, which no
+    // node counter records; so here a loss anywhere must make the answer
+    // partial, and only a lossy network may make it partial otherwise.
+    let mut in_band = 0;
+    for seed in (0..120u64).filter(|seed| seed % 2 == 0) {
+        for referral in [false, true] {
+            let mode = |origin: u32| match referral {
+                false => ResponseMode::Direct { originator: format!("n{origin}") },
+                true => ResponseMode::Referral,
+            };
+            for (run, drops, what) in lossy_runs(seed, mode) {
+                let m = &run.metrics;
+                let lost = lost_somewhere(m) || m.deadline_hit;
+                let complete = run.completeness.is_complete();
+                assert!(!(lost && complete), "{what}: a loss read {} with {m:?}", run.completeness);
+                assert!(complete || lost || drops > 0.0, "{what}: {} with {m:?}", run.completeness);
+                in_band += usize::from(lost_somewhere(m) && !m.deadline_hit);
+            }
+        }
+    }
+    assert!(in_band >= 20, "only {in_band} lossy runs ended before their deadline");
 }
 
 #[test]
