@@ -5,14 +5,21 @@
 //! simulator: callers pump [`Simulator::next`] and dispatch each
 //! [`Delivery`] to their node objects, which respond by calling
 //! [`Simulator::send`] / [`Simulator::schedule`]. Determinism: a seeded RNG
-//! drives latency sampling and drops, and ties in delivery time break by
-//! sequence number.
+//! drives latency sampling and drops, and events due at the same instant
+//! are delivered in the order they were pushed.
+//!
+//! The queue is a calendar: one first-in first-out bucket per delivery
+//! instant, in a `BTreeMap` keyed by that instant. Popping takes the front
+//! of the earliest bucket, so delivery order is exactly (instant, push
+//! order) — the order a priority queue over (instant, sequence number)
+//! gives — while a push or pop touches one tree path and one bucket
+//! instead of sifting through every pending event (a 10^4-node flood
+//! keeps ~10^4 far-future abort timers queued the whole time).
 
 use crate::model::{ChaosPlan, NetworkModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use wsda_registry::clock::{Clock, ManualClock, Time};
 
@@ -47,41 +54,12 @@ pub enum Delivery<M> {
     },
 }
 
-/// Queue-internal event payload. Messages are boxed so a heap slot stays
-/// a few words wide: `BinaryHeap` sift operations memmove whole slots, and
-/// at 10^5-node floods the queue holds 10^5+ in-flight messages whose
-/// inline payloads would otherwise dominate pump time.
+/// Queue-internal event payload. Messages are boxed so a bucket slot stays
+/// a few words wide whatever the message type.
 #[derive(Debug)]
 enum Payload<M> {
     Message { from: NodeId, to: NodeId, message: Box<M> },
     Timer { node: NodeId, tag: u64 },
-}
-
-#[derive(Debug)]
-struct Scheduled<M> {
-    at: Time,
-    seq: u64,
-    payload: Payload<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Aggregate traffic statistics.
@@ -105,18 +83,24 @@ pub struct SimStats {
 /// The discrete-event simulator.
 pub struct Simulator<M> {
     clock: Arc<ManualClock>,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// Pending events by delivery instant; each bucket is non-empty and
+    /// holds its events in push order.
+    queue: BTreeMap<Time, VecDeque<Payload<M>>>,
+    /// Emptied buckets, reused so a long run stops allocating them.
+    spare: Vec<VecDeque<Payload<M>>>,
+    /// Events across all buckets.
+    pending: usize,
     model: NetworkModel,
     chaos: ChaosPlan,
     rng: StdRng,
-    seq: u64,
     stats: SimStats,
     /// Bounded-inbox knob: max undelivered messages per destination, plus
     /// the classifier deciding which messages may be shed at a full inbox.
     inbox_capacity: Option<usize>,
     #[allow(clippy::type_complexity)]
     sheddable: Option<Box<dyn Fn(&M) -> bool>>,
-    /// Undelivered (in-flight) message count per destination.
+    /// Undelivered (in-flight) message count per destination, kept only
+    /// once an inbox bound is set: nothing else reads it.
     inflight_to: HashMap<NodeId, usize>,
 }
 
@@ -125,11 +109,12 @@ impl<M> Simulator<M> {
     pub fn new(model: NetworkModel, chaos: ChaosPlan, seed: u64) -> Self {
         Simulator {
             clock: Arc::new(ManualClock::new()),
-            queue: BinaryHeap::new(),
+            queue: BTreeMap::new(),
+            spare: Vec::new(),
+            pending: 0,
             model,
             chaos,
             rng: StdRng::seed_from_u64(seed),
-            seq: 0,
             stats: SimStats::default(),
             inbox_capacity: None,
             sheddable: None,
@@ -150,6 +135,13 @@ impl<M> Simulator<M> {
     ) {
         self.inbox_capacity = Some(capacity);
         self.sheddable = Some(Box::new(sheddable));
+        // Start counting from what is already in flight.
+        self.inflight_to.clear();
+        for payload in self.queue.values().flatten() {
+            if let Payload::Message { to, .. } = payload {
+                *self.inflight_to.entry(*to).or_insert(0) += 1;
+            }
+        }
     }
 
     /// The virtual clock (share it with registries and nodes).
@@ -207,10 +199,8 @@ impl<M> Simulator<M> {
             let extra = self.chaos.extra_delay_ms(&mut self.rng);
             let dup_at = at.plus(extra.max(1));
             self.stats.messages_duplicated += 1;
-            *self.inflight_to.entry(to).or_insert(0) += 1;
             self.push(dup_at, Payload::Message { from, to, message: Box::new(message.clone()) });
         }
-        *self.inflight_to.entry(to).or_insert(0) += 1;
         self.push(at, Payload::Message { from, to, message: Box::new(message) });
         Some(at)
     }
@@ -222,10 +212,14 @@ impl<M> Simulator<M> {
         at
     }
 
+    /// Queue `payload` behind every event already due at `at`.
     fn push(&mut self, at: Time, payload: Payload<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, payload }));
+        if let (Some(_), Payload::Message { to, .. }) = (self.inbox_capacity, &payload) {
+            *self.inflight_to.entry(*to).or_insert(0) += 1;
+        }
+        let spare = &mut self.spare;
+        self.queue.entry(at).or_insert_with(|| spare.pop().unwrap_or_default()).push_back(payload);
+        self.pending += 1;
     }
 
     /// Pop the next event, advancing the virtual clock to its time.
@@ -236,13 +230,21 @@ impl<M> Simulator<M> {
     /// need `&mut self` back between events.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Delivery<M>> {
-        let Reverse(ev) = self.queue.pop()?;
-        self.clock.set(ev.at);
+        let mut earliest = self.queue.first_entry()?;
+        let at = *earliest.key();
+        let payload = earliest.get_mut().pop_front().expect("calendar buckets are never empty");
+        if earliest.get().is_empty() {
+            self.spare.push(earliest.remove());
+        }
+        self.pending -= 1;
+        self.clock.set(at);
         self.stats.events_delivered += 1;
-        Some(match ev.payload {
+        Some(match payload {
             Payload::Message { from, to, message } => {
-                if let Some(n) = self.inflight_to.get_mut(&to) {
-                    *n = n.saturating_sub(1);
+                if self.inbox_capacity.is_some() {
+                    if let Some(n) = self.inflight_to.get_mut(&to) {
+                        *n = n.saturating_sub(1);
+                    }
                 }
                 Delivery::Message { from, to, message: *message }
             }
@@ -252,15 +254,15 @@ impl<M> Simulator<M> {
 
     /// Pop the next event only if it occurs at or before `deadline`.
     pub fn next_before(&mut self, deadline: Time) -> Option<Delivery<M>> {
-        match self.queue.peek() {
-            Some(Reverse(ev)) if ev.at <= deadline => self.next(),
+        match self.queue.first_key_value() {
+            Some((&at, _)) if at <= deadline => self.next(),
             _ => None,
         }
     }
 
     /// Pending event count.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 
     /// Run until quiescent or `max_events`, dispatching through `handler`.

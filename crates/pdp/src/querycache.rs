@@ -17,7 +17,9 @@
 //! they only leave by LRU pressure.
 
 use crate::message::QueryLanguage;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wsda_registry::sql::SqlQuery;
 use wsda_xq::Query;
@@ -55,6 +57,46 @@ fn empty_query() -> Query {
     Query::parse("()").expect("empty query parses")
 }
 
+/// A cache key seen through its borrowed parts, so a lookup can hash and
+/// compare `(&str, language)` against the stored `(String, language)`
+/// keys without building an owned key.
+trait KeyParts {
+    fn parts(&self) -> (&str, QueryLanguage);
+}
+
+impl KeyParts for (String, QueryLanguage) {
+    fn parts(&self) -> (&str, QueryLanguage) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyParts for (&str, QueryLanguage) {
+    fn parts(&self) -> (&str, QueryLanguage) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for (String, QueryLanguage) {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+// `String` and `str` hash alike, so the parts hash exactly as the owned key.
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
 /// An LRU cache of [`CompiledQuery`]s keyed by `(source, language)`.
 ///
 /// One instance lives inside each peer node (it is used through `&mut` by
@@ -90,11 +132,10 @@ impl QueryCache {
     }
 
     /// The compiled form of `(src, language)` — parsed at most once while
-    /// the entry stays resident.
+    /// the entry stays resident. A hit allocates nothing.
     pub fn get_or_compile(&mut self, src: &str, language: QueryLanguage) -> CompiledQuery {
         self.tick += 1;
-        let key = (src.to_owned(), language);
-        if let Some((last_used, compiled)) = self.map.get_mut(&key) {
+        if let Some((last_used, compiled)) = self.map.get_mut(&(src, language) as &dyn KeyParts) {
             *last_used = self.tick;
             self.hits += 1;
             return compiled.clone();
@@ -110,7 +151,7 @@ impl QueryCache {
                 self.evictions += 1;
             }
         }
-        self.map.insert(key, (self.tick, compiled.clone()));
+        self.map.insert((src.to_owned(), language), (self.tick, compiled.clone()));
         compiled
     }
 

@@ -17,7 +17,8 @@
 
 use crate::intern::Sym;
 use crate::message::TransactionId;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use wsda_registry::clock::Time;
 
 /// Outcome of offering a query to the state table.
@@ -41,8 +42,6 @@ pub struct TransactionState {
     pub local_done: bool,
     /// When this state was created.
     pub created: Time,
-    /// When this state may be forgotten (static loop timeout).
-    pub expires: Time,
     /// Next `Results` sequence number this node will emit for the
     /// transaction (each sender keeps its own sequence space).
     pub next_seq: u64,
@@ -78,6 +77,9 @@ impl TransactionState {
 #[derive(Debug, Default)]
 pub struct ResultLedger {
     seen: HashMap<TransactionId, HashMap<Sym, HashSet<u64>>>,
+    /// (transaction, sender) streams in `seen`, kept as it changes: live
+    /// peers read it after every frame.
+    streams: usize,
 }
 
 impl ResultLedger {
@@ -89,7 +91,12 @@ impl ResultLedger {
     /// Record a received frame. Returns `true` when this is the first
     /// sighting (apply it), `false` for a replay (ack but ignore).
     pub fn record(&mut self, transaction: TransactionId, sender: Sym, seq: u64) -> bool {
-        self.seen.entry(transaction).or_default().entry(sender).or_default().insert(seq)
+        let by_sender = self.seen.entry(transaction).or_default();
+        let stream = by_sender.entry(sender).or_insert_with(|| {
+            self.streams += 1;
+            HashSet::new()
+        });
+        stream.insert(seq)
     }
 
     /// True when the frame has been seen before (without recording).
@@ -102,7 +109,9 @@ impl ResultLedger {
 
     /// Drop all memory of a finished transaction — O(one transaction).
     pub fn forget(&mut self, transaction: TransactionId) {
-        self.seen.remove(&transaction);
+        if let Some(by_sender) = self.seen.remove(&transaction) {
+            self.streams -= by_sender.len();
+        }
     }
 
     /// Drop every stream from one sender across all transactions — the
@@ -111,14 +120,16 @@ impl ResultLedger {
     /// transactions); churn is rare relative to frame receipt.
     pub fn forget_sender(&mut self, sender: Sym) {
         self.seen.retain(|_, by_sender| {
-            by_sender.remove(&sender);
+            if by_sender.remove(&sender).is_some() {
+                self.streams -= 1;
+            }
             !by_sender.is_empty()
         });
     }
 
-    /// Number of (transaction, sender) streams tracked.
+    /// Number of (transaction, sender) streams tracked. O(1).
     pub fn streams(&self) -> usize {
-        self.seen.values().map(HashMap::len).sum()
+        self.streams
     }
 
     /// Number of transactions tracked.
@@ -131,6 +142,10 @@ impl ResultLedger {
 #[derive(Debug, Default)]
 pub struct NodeStateTable {
     entries: HashMap<TransactionId, TransactionState>,
+    /// When each entry may be forgotten (its static loop timeout), one
+    /// `(deadline, transaction)` per entry, earliest first: a sweep visits
+    /// only the entries that lapsed.
+    expiry: BinaryHeap<Reverse<(Time, TransactionId)>>,
 }
 
 impl NodeStateTable {
@@ -158,10 +173,10 @@ impl NodeStateTable {
                 pending_children: Vec::new(),
                 local_done: false,
                 created: now,
-                expires: now.plus(loop_timeout_ms),
                 next_seq: 0,
             },
         );
+        self.expiry.push(Reverse((now.plus(loop_timeout_ms), transaction)));
         BeginOutcome::Fresh
     }
 
@@ -225,19 +240,20 @@ impl NodeStateTable {
     }
 
     /// Drop state whose static loop timeout has passed and return the
-    /// expired transaction ids, so callers can retire the matching
-    /// per-transaction state elsewhere (result ledger, run bookkeeping,
-    /// pending retransmissions) in the same breath.
+    /// expired transaction ids, earliest expiry first, so callers can
+    /// retire the matching per-transaction state elsewhere (result ledger,
+    /// run bookkeeping, pending retransmissions) in the same breath. Costs
+    /// O(log n) per expired entry; live entries are not visited.
     pub fn sweep_expired(&mut self, now: Time) -> Vec<TransactionId> {
         let mut expired = Vec::new();
-        self.entries.retain(|t, s| {
-            if s.expires > now {
-                true
-            } else {
-                expired.push(*t);
-                false
+        while let Some(&Reverse((deadline, txn))) = self.expiry.peek() {
+            if deadline > now {
+                break;
             }
-        });
+            self.expiry.pop();
+            self.entries.remove(&txn);
+            expired.push(txn);
+        }
         expired
     }
 
@@ -331,6 +347,27 @@ mod tests {
         // thesis's argument for choosing the static timeout conservatively.
         assert_eq!(t.begin(txn(1), None, Time(1500), 1000), BeginOutcome::Fresh);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn sweep_expires_out_of_insertion_order() {
+        let mut t = NodeStateTable::new();
+        t.begin(txn(1), None, Time(0), 5000); // expires 5000
+        t.begin(txn(2), None, Time(0), 1000); // expires 1000
+        t.begin(txn(3), None, Time(500), 200); // expires 700
+        t.begin(txn(4), None, Time(600), 400); // expires 1000, a tie with txn 2
+        assert!(t.sweep_expired(Time(699)).is_empty());
+        assert_eq!(t.sweep_expired(Time(700)), vec![txn(3)]);
+        // Equal deadlines come out in transaction-id order.
+        let mut tied = vec![txn(2), txn(4)];
+        tied.sort();
+        assert_eq!(t.sweep_expired(Time(4999)), tied);
+        assert_eq!(t.len(), 1);
+        // A lapsed transaction begun again expires on its new deadline.
+        assert_eq!(t.begin(txn(2), None, Time(5000), 100), BeginOutcome::Fresh);
+        assert_eq!(t.sweep_expired(Time(5000)), vec![txn(1)]);
+        assert_eq!(t.sweep_expired(Time(5100)), vec![txn(2)]);
+        assert!(t.is_empty());
     }
 
     #[test]

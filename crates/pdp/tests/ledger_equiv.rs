@@ -5,7 +5,8 @@
 //! removal. A reference model built on the flat key checks equivalence
 //! over arbitrary interleavings of records and forgets. Senders are
 //! interned [`Sym`]s; the reference keeps the raw `u32` to prove the
-//! symbol indirection changes nothing.
+//! symbol indirection changes nothing. The ledger keeps its stream count
+//! as it goes; the reference recounts it from scratch.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -30,6 +31,10 @@ impl FlatLedger {
         self.seen.retain(|(t, _, _)| *t != txn);
     }
 
+    fn forget_sender(&mut self, sender: Sym) {
+        self.seen.retain(|(_, s, _)| *s != sender.0);
+    }
+
     fn streams(&self) -> usize {
         let mut streams: HashSet<(TransactionId, u32)> = HashSet::new();
         for (t, s, _) in &self.seen {
@@ -48,6 +53,7 @@ enum Op {
     Record { txn: u64, sender: u8, seq: u64 },
     Seen { txn: u64, sender: u8, seq: u64 },
     Forget { txn: u64 },
+    ForgetSender { sender: u8 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -57,6 +63,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (0u64..4, 0u8..4, 0u64..6).prop_map(|(txn, sender, seq)| Op::Record { txn, sender, seq }),
         2 => (0u64..4, 0u8..4, 0u64..6).prop_map(|(txn, sender, seq)| Op::Seen { txn, sender, seq }),
         1 => (0u64..4).prop_map(|txn| Op::Forget { txn }),
+    ]
+}
+
+/// [`arb_op`] plus departure sweeps.
+fn arb_op_with_departures() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        8 => arb_op(),
+        1 => (0u8..4).prop_map(|sender| Op::ForgetSender { sender }),
     ]
 }
 
@@ -93,9 +107,40 @@ proptest! {
                     nested.forget(txn(t));
                     flat.forget(txn(t));
                 }
+                Op::ForgetSender { sender } => {
+                    nested.forget_sender(Sym(u32::from(sender)));
+                    flat.forget_sender(Sym(u32::from(sender)));
+                }
             }
             prop_assert_eq!(nested.streams(), flat.streams());
             prop_assert_eq!(nested.transactions(), flat.transactions());
+        }
+    }
+
+    #[test]
+    fn stream_count_matches_a_recount(
+        ops in proptest::collection::vec(arb_op_with_departures(), 0..96),
+    ) {
+        let mut ledger = ResultLedger::new();
+        let mut flat = FlatLedger::default();
+        for op in &ops {
+            match *op {
+                Op::Record { txn: t, sender, seq } => {
+                    ledger.record(txn(t), Sym(u32::from(sender)), seq);
+                    flat.record(txn(t), Sym(u32::from(sender)), seq);
+                }
+                Op::Seen { .. } => {}
+                Op::Forget { txn: t } => {
+                    ledger.forget(txn(t));
+                    flat.forget(txn(t));
+                }
+                Op::ForgetSender { sender } => {
+                    ledger.forget_sender(Sym(u32::from(sender)));
+                    flat.forget_sender(Sym(u32::from(sender)));
+                }
+            }
+            prop_assert_eq!(ledger.streams(), flat.streams(), "after {:?}", op);
+            prop_assert_eq!(ledger.transactions(), flat.transactions());
         }
     }
 

@@ -45,7 +45,7 @@
 use crate::tuple::TupleKey;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use wsda_xml::{Element, QName};
+use wsda_xml::{name_matches, Element};
 use wsda_xq::{PathPattern, PatternStep, SargablePredicate};
 
 /// Bounds on what one tuple may contribute to the index.
@@ -354,18 +354,19 @@ impl ContentIndex {
 /// Does `pattern` (an absolute sargable path) match a full root-to-node
 /// posting path? Anchored at both ends; a `gap` step may skip any number
 /// of intermediate segments.
-fn pattern_matches(pattern: &[PatternStep], segs: &[String]) -> bool {
+fn pattern_matches(pattern: &[PatternStep], segs: &[impl AsRef<str>]) -> bool {
     let Some((step, rest)) = pattern.split_first() else {
         return segs.is_empty();
     };
     let window = if step.gap { segs.len() } else { segs.len().min(1) };
-    (0..window).any(|i| seg_matches(step, &segs[i]) && pattern_matches(rest, &segs[i + 1..]))
+    (0..window)
+        .any(|i| seg_matches(step, segs[i].as_ref()) && pattern_matches(rest, &segs[i + 1..]))
 }
 
 fn seg_matches(step: &PatternStep, seg: &str) -> bool {
     match seg.strip_prefix('@') {
-        Some(attr) => step.attribute && QName::parse(attr).matches(&step.name),
-        None => !step.attribute && QName::parse(seg).matches(&step.name),
+        Some(attr) => step.attribute && name_matches(attr, &step.name),
+        None => !step.attribute && name_matches(seg, &step.name),
     }
 }
 
@@ -385,17 +386,8 @@ pub fn pattern_is_content_only(pattern: &PathPattern) -> bool {
         return false;
     }
     // The wrapper paths are exactly: /tuple, /tuple/@*, /tuple/content.
-    let tuple_segs = ["tuple".to_owned()];
-    if pattern_matches(&pattern.steps, &tuple_segs) {
-        return false;
-    }
-    for seg in WRAPPER_SEGS {
-        let segs = ["tuple".to_owned(), (*seg).to_owned()];
-        if pattern_matches(&pattern.steps, &segs) {
-            return false;
-        }
-    }
-    true
+    !pattern_matches(&pattern.steps, &["tuple"])
+        && !WRAPPER_SEGS.iter().any(|seg| pattern_matches(&pattern.steps, &["tuple", seg]))
 }
 
 #[cfg(test)]

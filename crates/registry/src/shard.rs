@@ -42,6 +42,8 @@ pub const DEFAULT_SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct ShardedStore {
     shards: Box<[RwLock<TupleStore>]>,
+    /// Whether every shard keeps a content index (set at construction).
+    content_index: bool,
     /// Registry-wide ordinal allocator (shard-independent result order).
     next_ordinal: AtomicU64,
 }
@@ -66,6 +68,7 @@ impl ShardedStore {
         let make = if content_index { TupleStore::new } else { TupleStore::without_content_index };
         ShardedStore {
             shards: (0..n).map(|_| RwLock::new(make())).collect(),
+            content_index,
             next_ordinal: AtomicU64::new(0),
         }
     }
@@ -226,6 +229,9 @@ impl ShardedStore {
         preds: &[SargablePredicate],
         width_cap: usize,
     ) -> Option<(Vec<TupleKey>, usize)> {
+        if !self.content_index {
+            return None;
+        }
         let content_preds: Vec<&SargablePredicate> =
             preds.iter().filter(|p| pattern_is_content_only(p.path())).collect();
         if content_preds.is_empty() {

@@ -12,7 +12,10 @@
 use crate::ast::*;
 use crate::error::{XqError, XqResult};
 use crate::functions;
-use crate::value::{document_order_dedup, effective_boolean, Item, NodeKind, NodeRef, Sequence};
+use crate::value::{
+    document_order_dedup, effective_boolean, number_of_str, Item, NodeKind, NodeRef, Sequence,
+};
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -150,10 +153,7 @@ impl DynamicContext {
 
 /// Evaluate an expression in a context.
 pub fn eval(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
-    ctx.work += 1;
-    if ctx.work > ctx.work_limit {
-        return Err(XqError::ResourceLimit("work limit"));
-    }
+    tick(ctx, 1)?;
     ctx.depth += 1;
     if ctx.depth > MAX_DEPTH {
         ctx.depth -= 1;
@@ -164,12 +164,18 @@ pub fn eval(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
     if let Ok(seq) = &out {
         // Work accounts for produced items as well as expression nodes, so
         // queries that materialize huge sequences hit the budget promptly.
-        ctx.work += seq.len() as u64;
-        if ctx.work > ctx.work_limit {
-            return Err(XqError::ResourceLimit("work limit"));
-        }
+        tick(ctx, seq.len())?;
     }
     out
+}
+
+/// Charge `n` units of work against the limit.
+fn tick(ctx: &mut DynamicContext, n: usize) -> XqResult<()> {
+    ctx.work += n as u64;
+    if ctx.work > ctx.work_limit {
+        return Err(XqError::ResourceLimit("work limit"));
+    }
+    Ok(())
 }
 
 fn eval_inner(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
@@ -370,20 +376,22 @@ fn apply_step(
 ) -> XqResult<Sequence> {
     let mut out = Sequence::new();
     // Positional predicates count within one context node's selection.
-    let mut step_from = |node: &NodeRef| -> XqResult<()> {
+    let mut step_from = |node: &NodeRef, element: &Element| -> XqResult<()> {
         let selected = out.len();
-        select(node, step, &mut out);
+        select(node, element, step, &mut out);
         apply_predicates(&mut out, selected, &step.predicates, ctx)
     };
     for item in input {
         let node = expect_node(item)?;
         match origin {
-            Origin::Node => step_from(node)?,
+            Origin::Node => step_from(node, node.element())?,
             Origin::RootDescendants | Origin::Descendants => {
                 if origin == Origin::RootDescendants || node.is_element() {
-                    step_from(node)?;
+                    step_from(node, node.element())?;
                 }
-                node.try_for_each_descendant(|n, _| step_from(n))?;
+                // The walk hands over each element it visits, so the step
+                // never walks the path from the document root again.
+                node.try_for_each_descendant(|n, e| step_from(n, e))?;
             }
         }
     }
@@ -391,18 +399,19 @@ fn apply_step(
 }
 
 /// Append the nodes `step`'s axis and node test select from `node`, in the
-/// order its positional predicates count. Names are tested on the borrowed
-/// element, so only selected nodes become references.
-fn select(node: &NodeRef, step: &Step, out: &mut Sequence) {
+/// order its positional predicates count. `element` is the element `node`
+/// designates or owns ([`NodeRef::element`]). Names are tested on the
+/// borrowed element, so only selected nodes become references.
+fn select(node: &NodeRef, element: &Element, step: &Step, out: &mut Sequence) {
     let mut emit = |n: NodeRef| out.push(Item::Node(n));
     match (step.axis, &step.test) {
         (Axis::Child, NodeTest::Name(pattern)) => {
-            node.emit_child_elements(|e| name_matches(e.name(), pattern), emit)
+            node.emit_child_elements(element, |e| name_matches(e.name(), pattern), emit)
         }
-        (Axis::Child, NodeTest::Text) => node.emit_text_children(emit),
+        (Axis::Child, NodeTest::Text) => node.emit_text_children(element, emit),
         (Axis::Child, NodeTest::AnyNode) => {
-            node.emit_child_elements(|_| true, &mut emit);
-            node.emit_text_children(emit);
+            node.emit_child_elements(element, |_| true, &mut emit);
+            node.emit_text_children(element, emit);
         }
         (Axis::Descendant | Axis::DescendantOrSelf, test) => {
             let mut keep = |n: &NodeRef, e: &Element| match test {
@@ -413,10 +422,10 @@ fn select(node: &NodeRef, step: &Step, out: &mut Sequence) {
                 }
                 NodeTest::AnyNode => emit(n.clone()),
                 // Text children of the visited elements.
-                NodeTest::Text => n.emit_text_children(&mut emit),
+                NodeTest::Text => n.emit_text_children(e, &mut emit),
             };
             if step.axis == Axis::DescendantOrSelf && node.is_element() {
-                keep(node, node.element());
+                keep(node, element);
             }
             let _: Result<(), Infallible> = node.try_for_each_descendant(|n, e| {
                 keep(n, e);
@@ -424,7 +433,7 @@ fn select(node: &NodeRef, step: &Step, out: &mut Sequence) {
             });
         }
         (Axis::SelfAxis, NodeTest::Name(pattern)) => {
-            if node.is_element() && name_matches(node.element().name(), pattern) {
+            if node.is_element() && name_matches(element.name(), pattern) {
                 emit(node.clone());
             }
         }
@@ -440,7 +449,7 @@ fn select(node: &NodeRef, step: &Step, out: &mut Sequence) {
             }
         }
         (Axis::Attribute, NodeTest::Name(pattern)) => {
-            node.emit_attributes(|name| name_matches(name, pattern), emit)
+            node.emit_attributes(element, |name| name_matches(name, pattern), emit)
         }
         (Axis::Attribute, _) => {}
     }
@@ -557,10 +566,10 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &mut DynamicContext) -> X
             Ok(vec![Item::Number(v)])
         }
         BinOp::GenEq | BinOp::GenNe | BinOp::GenLt | BinOp::GenLe | BinOp::GenGt | BinOp::GenGe => {
-            let l = eval(lhs, ctx)?;
-            let r = eval(rhs, ctx)?;
-            for a in &l {
-                for b in &r {
+            let l = eval_operand(lhs, ctx)?;
+            let r = eval_operand(rhs, ctx)?;
+            for a in l.scalars() {
+                for b in r.scalars() {
                     if general_compare(op, a, b) {
                         return Ok(vec![Item::Bool(true)]);
                     }
@@ -582,20 +591,87 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &mut DynamicContext) -> X
     }
 }
 
+/// One side of a general comparison: a string literal stays borrowed from
+/// the query instead of becoming a one-item sequence for every tuple.
+enum Operand<'q> {
+    Literal(&'q str),
+    Items(Sequence),
+}
+
+impl Operand<'_> {
+    fn scalars(&self) -> impl Iterator<Item = Scalar<'_>> {
+        let (literal, items) = match self {
+            Operand::Literal(s) => (Some(Scalar::Str(s)), &[][..]),
+            Operand::Items(items) => (None, items.as_slice()),
+        };
+        literal.into_iter().chain(items.iter().map(Scalar::Item))
+    }
+}
+
+/// Evaluate a comparison operand. A string literal is charged the same
+/// work, and checked against the same work and depth limits, as [`eval`]
+/// would for it, so work counts and limit errors do not depend on this
+/// shortcut.
+fn eval_operand<'q>(expr: &'q Expr, ctx: &mut DynamicContext) -> XqResult<Operand<'q>> {
+    let Expr::StrLit(s) = expr else {
+        return eval(expr, ctx).map(Operand::Items);
+    };
+    tick(ctx, 1)?;
+    if ctx.depth >= MAX_DEPTH {
+        return Err(XqError::ResourceLimit("recursion depth"));
+    }
+    tick(ctx, 1)?;
+    Ok(Operand::Literal(s))
+}
+
+/// An item, or a borrowed string that compares exactly as `Item::Str`.
+#[derive(Clone, Copy)]
+enum Scalar<'a> {
+    Item(&'a Item),
+    Str(&'a str),
+}
+
+impl<'a> Scalar<'a> {
+    fn is_bool(self) -> bool {
+        matches!(self, Scalar::Item(Item::Bool(_)))
+    }
+
+    fn is_number(self) -> bool {
+        matches!(self, Scalar::Item(Item::Number(_)))
+    }
+
+    fn truthy(self) -> bool {
+        match self {
+            Scalar::Item(i) => truthy_scalar(i),
+            Scalar::Str(s) => !s.is_empty(),
+        }
+    }
+
+    fn number_value(self) -> f64 {
+        match self {
+            Scalar::Item(i) => i.number_value(),
+            Scalar::Str(s) => number_of_str(s),
+        }
+    }
+
+    fn str_value(self) -> Cow<'a, str> {
+        match self {
+            Scalar::Item(i) => i.str_value(),
+            Scalar::Str(s) => Cow::Borrowed(s),
+        }
+    }
+}
+
 /// XPath 1.0-style general comparison: `=`/`!=` pick boolean > numeric >
 /// string by operand type; the order comparisons are numeric. This matches
 /// the thesis setting of untyped XML content.
-fn general_compare(op: BinOp, a: &Item, b: &Item) -> bool {
+fn general_compare(op: BinOp, a: Scalar<'_>, b: Scalar<'_>) -> bool {
     use BinOp::*;
     match op {
         GenEq | GenNe => {
-            let eq = if matches!(a, Item::Bool(_)) || matches!(b, Item::Bool(_)) {
-                let ab = matches!(a, Item::Bool(true))
-                    || (!matches!(a, Item::Bool(_)) && truthy_scalar(a));
-                let bb = matches!(b, Item::Bool(true))
-                    || (!matches!(b, Item::Bool(_)) && truthy_scalar(b));
-                ab == bb
-            } else if matches!(a, Item::Number(_)) || matches!(b, Item::Number(_)) {
+            let eq = if a.is_bool() || b.is_bool() {
+                a.truthy() == b.truthy()
+            } else if a.is_number() || b.is_number() {
                 a.number_value() == b.number_value()
             } else {
                 a.str_value() == b.str_value()

@@ -181,8 +181,13 @@ impl NodeRef {
     /// order; the test sees each child before any reference is made. For a
     /// document node the only child is the root element; attribute and text
     /// references have none.
+    ///
+    /// Like the other emitters, this takes `element`, the element this
+    /// reference designates ([`NodeRef::element`]), from the caller: a
+    /// descendant walk already holds it and need not walk the path again.
     pub(crate) fn emit_child_elements(
         &self,
+        element: &Element,
         mut test: impl FnMut(&Element) -> bool,
         mut emit: impl FnMut(NodeRef),
     ) {
@@ -191,7 +196,7 @@ impl NodeRef {
                 emit(self.at(NodePath::ROOT, NodeKind::Element));
             }
             NodeKind::Element => {
-                for (i, child) in self.element().children().iter().enumerate() {
+                for (i, child) in element.children().iter().enumerate() {
                     if let XmlNode::Element(e) = child {
                         if test(e) {
                             emit(self.child(i));
@@ -204,11 +209,11 @@ impl NodeRef {
     }
 
     /// Emit references to the text/CDATA children, in document order.
-    pub(crate) fn emit_text_children(&self, mut emit: impl FnMut(NodeRef)) {
+    pub(crate) fn emit_text_children(&self, element: &Element, mut emit: impl FnMut(NodeRef)) {
         if !self.is_element() {
             return;
         }
-        for (i, child) in self.element().children().iter().enumerate() {
+        for (i, child) in element.children().iter().enumerate() {
             if matches!(child, XmlNode::Text(_) | XmlNode::CData(_)) {
                 emit(self.at(self.path.clone(), NodeKind::Text(child_index(i))));
             }
@@ -219,13 +224,14 @@ impl NodeRef {
     /// attribute order.
     pub(crate) fn emit_attributes(
         &self,
+        element: &Element,
         mut test: impl FnMut(&str) -> bool,
         mut emit: impl FnMut(NodeRef),
     ) {
         if !self.is_element() {
             return;
         }
-        for (i, a) in self.element().attributes().iter().enumerate() {
+        for (i, a) in element.attributes().iter().enumerate() {
             if test(&a.name) {
                 emit(self.at(self.path.clone(), NodeKind::Attribute(child_index(i))));
             }
@@ -271,7 +277,7 @@ impl NodeRef {
     /// is the root element; empty for attribute/text references.
     pub fn child_elements(&self) -> Vec<NodeRef> {
         let mut out = Vec::new();
-        self.emit_child_elements(|_| true, |n| out.push(n));
+        self.emit_child_elements(self.element(), |_| true, |n| out.push(n));
         out
     }
 
@@ -297,14 +303,14 @@ impl NodeRef {
     /// References to all attributes in document order.
     pub fn attributes(&self) -> Vec<NodeRef> {
         let mut out = Vec::new();
-        self.emit_attributes(|_| true, |n| out.push(n));
+        self.emit_attributes(self.element(), |_| true, |n| out.push(n));
         out
     }
 
     /// References to the text/CDATA children, in document order.
     pub fn text_children(&self) -> Vec<NodeRef> {
         let mut out = Vec::new();
-        self.emit_text_children(|n| out.push(n));
+        self.emit_text_children(self.element(), |n| out.push(n));
         out
     }
 
@@ -469,9 +475,7 @@ impl Item {
                     0.0
                 }
             }
-            Item::Node(_) | Item::Str(_) => {
-                self.str_value().trim().parse::<f64>().unwrap_or(f64::NAN)
-            }
+            Item::Node(_) | Item::Str(_) => number_of_str(&self.str_value()),
         }
     }
 
@@ -515,6 +519,12 @@ impl From<&str> for Item {
     fn from(s: &str) -> Item {
         Item::Str(s.to_owned())
     }
+}
+
+/// XPath `number()` of a string: its trimmed decimal value, `NaN` when it
+/// is not a number.
+pub(crate) fn number_of_str(s: &str) -> f64 {
+    s.trim().parse::<f64>().unwrap_or(f64::NAN)
 }
 
 /// XPath-style number formatting: integers print without a decimal point,

@@ -588,3 +588,36 @@ fn replace_and_compare() {
     assert_eq!(run("compare('b', 'b')")[0].number_value(), 0.0);
     assert_eq!(run("compare('c', 'b')")[0].number_value(), 1.0);
 }
+
+#[test]
+fn string_literal_operands_compare_like_computed_strings() {
+    // A literal operand of a general comparison is compared in place; a
+    // `string(...)` of the same literal is a computed string item. Both
+    // must give the same answer under every operator and operand type.
+    let literals = ["''", "'1'", "' 1.0 '", "'abc'", "'true'", "'NaN'"];
+    let others = [
+        "1",
+        "0",
+        "true()",
+        "false()",
+        "'abc'",
+        "''",
+        "()",
+        "(2, 'abc')",
+        "//service/load",
+        "//service/owner",
+    ];
+    for op in ["=", "!=", "<", "<=", ">", ">="] {
+        for lit in literals {
+            for other in others {
+                for (q, reference) in [
+                    (format!("{lit} {op} {other}"), format!("string({lit}) {op} {other}")),
+                    (format!("{other} {op} {lit}"), format!("{other} {op} string({lit})")),
+                    (format!("{lit} {op} {lit}"), format!("string({lit}) {op} string({lit})")),
+                ] {
+                    assert_eq!(run(&q), run(&reference), "{q}");
+                }
+            }
+        }
+    }
+}
