@@ -27,6 +27,8 @@ struct Outcome {
     retries: u64,
     subtrees_lost: u64,
     complete_runs: u64,
+    /// Runs that read complete yet delivered fewer than every node's items.
+    complete_short: u64,
     t_done_ms: u64,
 }
 
@@ -74,7 +76,8 @@ pub fn run(quick: bool) -> Report {
                         "fraction_pct": 100.0 * out.delivered as f64 / total as f64,
                         "messages": out.messages, "msg_overhead_pct": oh,
                         "retries": out.retries, "subtrees_lost": out.subtrees_lost,
-                        "complete_runs": out.complete_runs, "t_done_ms": out.t_done_ms}),
+                        "complete_runs": out.complete_runs,
+                        "complete_short": out.complete_short, "t_done_ms": out.t_done_ms}),
             );
         }
     }
@@ -105,7 +108,8 @@ pub fn run(quick: bool) -> Report {
                         "fraction_pct": 100.0 * out.delivered as f64 / total as f64,
                         "messages": out.messages, "retries": out.retries,
                         "subtrees_lost": out.subtrees_lost,
-                        "complete_runs": out.complete_runs, "t_done_ms": out.t_done_ms}),
+                        "complete_runs": out.complete_runs,
+                        "complete_short": out.complete_short, "t_done_ms": out.t_done_ms}),
             );
         }
     }
@@ -129,6 +133,7 @@ fn aggregate(n: usize, plan: &ChaosPlan, recovery: RecoveryConfig) -> Outcome {
         retries: 0,
         subtrees_lost: 0,
         complete_runs: 0,
+        complete_short: 0,
         t_done_ms: 0,
     };
     for &seed in &SEEDS {
@@ -153,6 +158,8 @@ fn aggregate(n: usize, plan: &ChaosPlan, recovery: RecoveryConfig) -> Outcome {
         out.retries += run.metrics.retries_sent;
         out.subtrees_lost += run.completeness.subtrees_lost();
         out.complete_runs += u64::from(run.completeness.is_complete());
+        let short = run.metrics.results_delivered < 2 * n as u64;
+        out.complete_short += u64::from(run.completeness.is_complete() && short);
         let t_done = run.metrics.time_completed.unwrap_or(run.finished_at).millis();
         out.t_done_ms = out.t_done_ms.max(t_done);
     }
@@ -178,6 +185,19 @@ mod tests {
                 on.delivered,
                 off.delivered
             );
+        }
+    }
+
+    /// An answer that reads complete holds both items of every node, with
+    /// recovery on or off, at every loss rate.
+    #[test]
+    fn complete_runs_deliver_every_item() {
+        for p in [0.0, 0.01, 0.05, 0.10, 0.20] {
+            let plan = ChaosPlan::none().with_drops(p);
+            for recovery in [RecoveryConfig::default(), RecoveryConfig::on()] {
+                let out = aggregate(63, &plan, recovery);
+                assert_eq!(out.complete_short, 0, "drop {p}, recovery {}", recovery.enabled);
+            }
         }
     }
 

@@ -252,18 +252,17 @@ impl Inner {
     }
 
     /// Push a re-split frame into the target node's inbox, classifying it
-    /// individually (never the coalesced read buffer).
+    /// individually (never the coalesced read buffer). A queued frame is
+    /// counted before the receiver can see it.
     fn deliver(&self, from: NodeId, to: NodeId, frame: Frame) -> bool {
         let sheddable = self.classify(&frame);
         let locals = self.locals.lock();
         let Some(node) = locals.get(&to) else {
             return false;
         };
-        let outcome = node.inbox.push(Envelope { from, message: frame }, sheddable);
+        let envelope = Envelope { from, message: frame };
+        let outcome = node.inbox.push_then(envelope, sheddable, || self.counters.frames_in.inc());
         self.counters.record(&outcome);
-        if matches!(outcome, PushOutcome::Queued) {
-            self.counters.frames_in.inc();
-        }
         !matches!(outcome, PushOutcome::Closed)
     }
 
@@ -757,6 +756,17 @@ mod tests {
         }
     }
 
+    /// Poll `read` until it returns `want` or 5 s pass, and return its last
+    /// value: for counters bumped after the frame they count became
+    /// visible (a writer counts a frame once its write returns).
+    fn settled(want: u64, read: impl Fn() -> u64) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while read() != want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        read()
+    }
+
     fn recv_message(inbox: &Inbox<Frame>, reader: &mut FrameReader) -> Option<Message> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -784,18 +794,15 @@ mod tests {
         let mut reader = FrameReader::new();
         assert_eq!(recv_message(&b, &mut reader), Some(query()));
         assert_eq!(recv_message(&b, &mut reader), Some(results(0)));
+        // Connects, accepts, frames in and bytes read are counted before
+        // the frames they cover are visible.
         let stats = net.stats();
-        assert_eq!(stats.connects, 1);
-        assert_eq!(stats.accepts, 1);
-        assert_eq!(stats.frames_out, 2);
+        assert_eq!((stats.connects, stats.accepts, stats.frames_in), (1, 1, 2));
         // Wire accounting: reads and writes both saw handshake + frames.
         let expected = (HELLO_LEN + frame(&query()).len() + frame(&results(0)).len()) as u64;
-        assert_eq!(stats.write_bytes, expected);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while net.stats().read_bytes < expected && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(net.stats().read_bytes, expected);
+        assert_eq!(stats.read_bytes, expected);
+        assert_eq!(settled(2, || net.stats().frames_out), 2);
+        assert_eq!(settled(expected, || net.stats().write_bytes), expected);
     }
 
     #[test]
@@ -831,7 +838,8 @@ mod tests {
             }
         }
         assert_eq!((queries, other), (5, 5));
-        assert_eq!(net.stats().frames_in, 10);
+        assert_eq!(net.stats().frames_in, 10, "counted before each frame was visible");
+        assert_eq!(settled(10, || net.stats().frames_out), 10);
     }
 
     #[test]

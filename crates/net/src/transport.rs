@@ -96,6 +96,18 @@ impl<M> InboxShared<M> {
     /// Drop-newest admission: the frame in hand is the one discarded when
     /// its lane is full, so older work (closer to completion) is preserved.
     pub(crate) fn push(&self, envelope: Envelope<M>, sheddable: bool) -> PushOutcome {
+        self.push_then(envelope, sheddable, || {})
+    }
+
+    /// Like [`InboxShared::push`], running `queued` once the frame is queued
+    /// but before any receiver can see it, so a counter it bumps has
+    /// settled by the time the frame is observable.
+    pub(crate) fn push_then(
+        &self,
+        envelope: Envelope<M>,
+        sheddable: bool,
+        queued: impl FnOnce(),
+    ) -> PushOutcome {
         let mut st = lock(self);
         if !st.open {
             return PushOutcome::Closed;
@@ -111,6 +123,7 @@ impl<M> InboxShared<M> {
             }
             st.high.push_back(envelope);
         }
+        queued();
         drop(st);
         self.ready.notify_one();
         PushOutcome::Queued

@@ -36,5 +36,5 @@ pub use intern::{Interner, Sym};
 pub use message::{Endpoint, Message, QueryLanguage, ResponseMode, Scope, TransactionId};
 pub use querycache::{CompiledQuery, QueryCache};
 pub use resultcache::{query_fingerprint, ResultCache};
-pub use state::{BeginOutcome, NodeStateTable, ResultLedger, TransactionState};
+pub use state::{BeginOutcome, EdgeStream, NodeStateTable, ResultLedger, TransactionState};
 pub use wire::{decode, encode, encoded_len, WireError};

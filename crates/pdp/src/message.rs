@@ -159,13 +159,16 @@ pub enum Message {
     Results {
         /// Transaction the results belong to.
         transaction: TransactionId,
-        /// Per-sender, per-transaction sequence number. Retransmissions
-        /// reuse the original `seq`, so receivers can suppress duplicates
-        /// and acknowledge idempotently.
+        /// The frame's number on its edge (per transaction, sender and
+        /// receiver): 0, 1, 2, … Retransmissions reuse the original `seq`,
+        /// so receivers can suppress duplicates and acknowledge
+        /// idempotently, and a final numbered n says its edge carried n + 1
+        /// frames.
         seq: u64,
         /// The result items.
         items: Vec<ResultItem>,
-        /// True when the sender's subtree is complete.
+        /// The sender's final frame on this edge: its subtree is complete
+        /// once every frame the final's `seq` counts has arrived too.
         last: bool,
         /// The node the items originate from (metadata response support).
         origin: Endpoint,
@@ -190,7 +193,7 @@ pub enum Message {
     Partial {
         /// Transaction the frame belongs to.
         transaction: TransactionId,
-        /// Per-sender, per-transaction sequence number.
+        /// The frame's number on its edge, as for `Results`.
         seq: u64,
         /// The result items a lossless final would have carried.
         items: Vec<ResultItem>,

@@ -2,11 +2,18 @@
 //!
 //! Every node keeps per-transaction state: where the query came from (the
 //! *parent* toward the originator), which neighbors it was forwarded to
-//! (pending *children*), the next sequence number it sends under, and when
-//! the state expires. The table is also the **loop detector**: a `Query` for a
-//! transaction already present is a duplicate and must not be processed
-//! again. State is retained for the *static loop timeout* so that slow
-//! duplicate deliveries are still recognized after a transaction finishes.
+//! (pending *children*), the next sequence number on its edge to the
+//! parent, and when the state expires. The table is also the **loop
+//! detector**: a `Query` for a transaction already present is a duplicate
+//! and must not be processed again. State is retained for the *static loop
+//! timeout* so that slow duplicate deliveries are still recognized after a
+//! transaction finishes.
+//!
+//! Results travel as one stream per tree edge. A sender numbers its
+//! `Results`/`Partial` frames on each edge 0, 1, 2, …, so a final numbered
+//! `n` says its edge carried `n + 1` frames; an [`EdgeStream`] closes the
+//! edge only once all of them are in. Each pending child's stream lives
+//! beside it in the table ([`NodeStateTable::child_frame`]).
 //!
 //! Endpoints are stored as interned [`Sym`]s (see [`crate::intern`]), not
 //! owned strings: at simulator scale the table is the dominant per-node
@@ -35,30 +42,75 @@ pub enum BeginOutcome {
 pub struct TransactionState {
     /// Neighbor to route results toward (`None` at the originator).
     pub parent: Option<Sym>,
-    /// Neighbors this node forwarded the query to and has not yet seen a
-    /// final frame from. Kept sorted for deterministic iteration.
-    pub pending_children: Vec<Sym>,
+    /// Neighbors this node forwarded the query to whose edge has not
+    /// closed yet, each with its stream so far. Kept sorted by neighbor
+    /// for deterministic iteration, and released once empty: the state of
+    /// a finished transaction is retained for the loop timeout.
+    pending: Vec<(Sym, EdgeStream)>,
     /// Whether this node finished its own local evaluation.
     pub local_done: bool,
     /// When this state was created.
     pub created: Time,
-    /// Next `Results` sequence number this node will emit for the
-    /// transaction (each sender keeps its own sequence space).
+    /// Next sequence number on this node's edge to its parent (each edge
+    /// keeps its own sequence space).
     pub next_seq: u64,
 }
 
 impl TransactionState {
     /// A subtree is complete when local evaluation finished and every
-    /// child delivered its final results.
+    /// child's edge closed.
     pub fn complete(&self) -> bool {
-        self.local_done && self.pending_children.is_empty()
+        self.local_done && self.pending.is_empty()
     }
 
-    /// Allocate the next outgoing `Results` sequence number.
+    /// The children whose edge has not closed yet, in ascending order.
+    pub fn pending_children(&self) -> impl ExactSizeIterator<Item = Sym> + '_ {
+        self.pending.iter().map(|&(child, _)| child)
+    }
+
+    /// Where `child` is, or would go, among the pending children.
+    fn find(&self, child: Sym) -> Result<usize, usize> {
+        self.pending.binary_search_by_key(&child, |&(c, _)| c)
+    }
+
+    /// The pending child at `at` stops pending.
+    fn stop_pending(&mut self, at: usize) {
+        self.pending.remove(at);
+        if self.pending.is_empty() {
+            self.pending = Vec::new();
+        }
+    }
+
+    /// Allocate the next sequence number on the edge to the parent.
     pub fn alloc_seq(&mut self) -> u64 {
         let s = self.next_seq;
         self.next_seq += 1;
         s
+    }
+}
+
+/// One sender's `Results`/`Partial` frames on a tree edge, counted until
+/// the edge closes: its final frame has arrived, and so has every frame
+/// the final's number counts. A final that overtakes an earlier frame
+/// waits here for it. The caller counts each frame once (with acks on, the
+/// [`ResultLedger`] drops replays first).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EdgeStream {
+    /// Frames counted so far, the final included.
+    frames: u64,
+    /// The final's number and the subtrees it reports lost, once in.
+    last: Option<(u64, u64)>,
+}
+
+impl EdgeStream {
+    /// Count the frame numbered `seq`; `last` is `Some(lost)` for the
+    /// final. Returns the final's `lost` once the edge is closed.
+    pub fn count(&mut self, seq: u64, last: Option<u64>) -> Option<u64> {
+        self.frames += 1;
+        if let Some(lost) = last {
+            self.last = Some((seq, lost));
+        }
+        self.last.filter(|&(n, _)| self.frames > n).map(|(_, lost)| lost)
     }
 }
 
@@ -170,7 +222,7 @@ impl NodeStateTable {
             transaction,
             TransactionState {
                 parent,
-                pending_children: Vec::new(),
+                pending: Vec::new(),
                 local_done: false,
                 created: now,
                 next_seq: 0,
@@ -194,19 +246,39 @@ impl NodeStateTable {
     /// sorted and duplicate-free.
     pub fn add_child(&mut self, transaction: &TransactionId, child: Sym) {
         if let Some(s) = self.entries.get_mut(transaction) {
-            if let Err(at) = s.pending_children.binary_search(&child) {
-                s.pending_children.insert(at, child);
+            if let Err(at) = s.find(child) {
+                s.pending.insert(at, (child, EdgeStream::default()));
             }
         }
     }
 
-    /// Record a final `Results` from `child`; returns `true` when the whole
-    /// subtree is now complete.
+    /// Count a `Results`/`Partial` frame numbered `seq` from `child`;
+    /// `last` is `Some(lost)` for a final. `Some(lost)` when the frame ends
+    /// the edge: a pending child's edge closes, and the child stops
+    /// pending, once its final and every frame the final counts are in. A
+    /// final from a child no longer pending ends nothing new and gives
+    /// `Some(0)`, so the caller still re-checks [`TransactionState::complete`].
+    pub fn child_frame(
+        &mut self,
+        transaction: &TransactionId,
+        child: Sym,
+        seq: u64,
+        last: Option<u64>,
+    ) -> Option<u64> {
+        let Some(s) = self.entries.get_mut(transaction) else { return last.map(|_| 0) };
+        let Ok(at) = s.find(child) else { return last.map(|_| 0) };
+        let lost = s.pending[at].1.count(seq, last)?;
+        s.stop_pending(at);
+        Some(lost)
+    }
+
+    /// Record that `child`'s edge closed without its stream (abandoned);
+    /// returns `true` when the whole subtree is now complete.
     pub fn child_done(&mut self, transaction: &TransactionId, child: Sym) -> bool {
         match self.entries.get_mut(transaction) {
             Some(s) => {
-                if let Ok(at) = s.pending_children.binary_search(&child) {
-                    s.pending_children.remove(at);
+                if let Ok(at) = s.find(child) {
+                    s.stop_pending(at);
                 }
                 s.complete()
             }
@@ -229,7 +301,7 @@ impl NodeStateTable {
     /// Close a transaction early: stop waiting on its children.
     pub fn close(&mut self, transaction: &TransactionId) {
         if let Some(s) = self.entries.get_mut(transaction) {
-            s.pending_children.clear();
+            s.pending = Vec::new();
         }
     }
 
@@ -321,7 +393,8 @@ mod tests {
         for child in [Sym(7), Sym(2), Sym(9), Sym(2), Sym(7)] {
             t.add_child(&txn(1), child);
         }
-        assert_eq!(t.get(&txn(1)).unwrap().pending_children, vec![Sym(2), Sym(7), Sym(9)]);
+        let pending: Vec<Sym> = t.get(&txn(1)).unwrap().pending_children().collect();
+        assert_eq!(pending, vec![Sym(2), Sym(7), Sym(9)]);
     }
 
     #[test]
@@ -331,7 +404,7 @@ mod tests {
         t.add_child(&txn(1), Sym(1));
         t.close(&txn(1));
         let s = t.get(&txn(1)).unwrap();
-        assert!(s.pending_children.is_empty());
+        assert_eq!(s.pending_children().len(), 0);
     }
 
     #[test]
@@ -378,6 +451,41 @@ mod tests {
         let s = t.get_mut(&txn(1)).unwrap();
         assert_eq!((s.alloc_seq(), s.alloc_seq(), s.alloc_seq()), (0, 1, 2));
         assert_eq!(t.get_mut(&txn(2)).unwrap().alloc_seq(), 0, "independent sequence spaces");
+    }
+
+    #[test]
+    fn a_childs_frames_close_its_edge_in_the_table() {
+        let mut t = NodeStateTable::new();
+        t.begin(txn(1), None, Time(0), 1000);
+        t.local_done(&txn(1));
+        t.add_child(&txn(1), Sym(1));
+        t.add_child(&txn(1), Sym(2));
+        // Sym(1)'s final overtakes its data frame; Sym(2) sends a lone final.
+        assert_eq!(t.child_frame(&txn(1), Sym(1), 1, Some(2)), None, "frame 0 is missing");
+        assert_eq!(t.child_frame(&txn(1), Sym(2), 0, Some(0)), Some(0));
+        assert!(!t.get(&txn(1)).unwrap().complete());
+        assert_eq!(t.child_frame(&txn(1), Sym(1), 0, None), Some(2), "closes with its losses");
+        assert!(t.get(&txn(1)).unwrap().complete());
+        // A final from a child no longer pending closes nothing new.
+        assert_eq!(t.child_frame(&txn(1), Sym(1), 1, Some(2)), Some(0));
+        assert_eq!(t.child_frame(&txn(1), Sym(1), 2, None), None);
+    }
+
+    #[test]
+    fn an_edge_closes_once_its_final_and_every_counted_frame_are_in() {
+        // In order: two data frames, then the final numbered 2.
+        let mut e = EdgeStream::default();
+        assert_eq!((e.count(0, None), e.count(1, None)), (None, None));
+        assert_eq!(e.count(2, Some(3)), Some(3), "the final closes the edge with its losses");
+        // The final overtakes both data frames and waits for them.
+        let mut e = EdgeStream::default();
+        assert_eq!(e.count(2, Some(0)), None, "frames 0 and 1 are still missing");
+        assert_eq!(e.count(0, None), None);
+        assert_eq!(e.count(1, None), Some(0), "the last missing frame closes the edge");
+        // A lone final numbered 0 closes at once; data alone never does.
+        assert_eq!(EdgeStream::default().count(0, Some(1)), Some(1));
+        let mut e = EdgeStream::default();
+        assert_eq!((e.count(0, None), e.count(1, None)), (None, None));
     }
 
     #[test]

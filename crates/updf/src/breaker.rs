@@ -1,9 +1,11 @@
 //! Per-neighbor circuit breakers for the P2P query plane.
 //!
-//! PR 1's dead-neighbor *suspicion* is permanent and only trips after a
-//! full retransmission budget has burned. The breaker layers a classic
-//! three-state machine on top so forwards to a dying peer are shed at the
-//! source, and a recovered peer is rehabilitated:
+//! With recovery on, breakers are the node's only neighbor-failure rule: a
+//! classic three-state machine per neighbor, so forwards to a dying peer
+//! are shed at the source (each shed a lost subtree in the answer), and a
+//! recovered peer is rehabilitated. A node creates a neighbor's breaker on
+//! its first send/ack failure, and only recovery fails sends, so a
+//! recovery-off node keeps none:
 //!
 //! * **Closed** — traffic flows; each send/ack failure increments a
 //!   consecutive-failure count, any success resets it.
@@ -22,8 +24,6 @@
 /// Circuit-breaker knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Master switch; off means every decision is `Forward`.
-    pub enabled: bool,
     /// Consecutive send/ack failures before the breaker opens.
     pub failure_threshold: u32,
     /// How long an open breaker sheds before probing the neighbor.
@@ -34,17 +34,10 @@ pub struct BreakerConfig {
 }
 
 impl Default for BreakerConfig {
-    /// Disabled: the simulator default, preserving the bare accounting
-    /// the existing experiments rely on.
+    /// Open after 3 consecutive failures, probe after 500 ms, re-open
+    /// after a 300 ms silent probe.
     fn default() -> Self {
-        BreakerConfig { enabled: false, failure_threshold: 3, open_ms: 500, probe_timeout_ms: 300 }
-    }
-}
-
-impl BreakerConfig {
-    /// Breakers on with the default thresholds.
-    pub fn on() -> Self {
-        BreakerConfig { enabled: true, ..BreakerConfig::default() }
+        BreakerConfig { failure_threshold: 3, open_ms: 500, probe_timeout_ms: 300 }
     }
 }
 
@@ -72,7 +65,7 @@ impl std::fmt::Display for BreakerState {
 /// What to do with a forward to this neighbor right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardDecision {
-    /// Breaker closed (or disabled): forward normally.
+    /// Breaker closed: forward normally.
     Forward,
     /// Breaker open: shed the forward, spend nothing on this neighbor.
     Shed,
@@ -113,9 +106,6 @@ impl CircuitBreaker {
     /// budget ran out). Returns `true` when this failure tripped the
     /// breaker open.
     pub fn record_failure(&mut self, now_ms: u64) -> bool {
-        if !self.cfg.enabled {
-            return false;
-        }
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
@@ -150,7 +140,7 @@ impl CircuitBreaker {
     /// `Ping` when this returns `true`, so the recovered peer is
     /// rehabilitated promptly instead of waiting out `open_ms`.
     pub fn note_contact(&mut self, now_ms: u64) -> bool {
-        if !self.cfg.enabled || self.state != BreakerState::Open {
+        if self.state != BreakerState::Open {
             return false;
         }
         self.state = BreakerState::HalfOpen;
@@ -161,9 +151,6 @@ impl CircuitBreaker {
     /// Should a forward to this neighbor proceed at `now_ms`? Advances
     /// the open → half-open transition lazily (no timers needed).
     pub fn decide(&mut self, now_ms: u64) -> ForwardDecision {
-        if !self.cfg.enabled {
-            return ForwardDecision::Forward;
-        }
         match self.state {
             BreakerState::Closed => ForwardDecision::Forward,
             BreakerState::Open => {
@@ -192,18 +179,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_breaker_always_forwards() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
-        for t in 0..10 {
-            b.record_failure(t);
-            assert_eq!(b.decide(t), ForwardDecision::Forward);
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
     fn k_consecutive_failures_open_success_resets() {
-        let mut b = CircuitBreaker::new(BreakerConfig::on());
+        let mut b = CircuitBreaker::new(BreakerConfig::default());
         assert!(!b.record_failure(0));
         assert!(!b.record_failure(1));
         b.record_success();
@@ -216,7 +193,7 @@ mod tests {
 
     #[test]
     fn open_window_elapses_into_single_probe() {
-        let cfg = BreakerConfig { open_ms: 100, ..BreakerConfig::on() };
+        let cfg = BreakerConfig { open_ms: 100, ..BreakerConfig::default() };
         let mut b = CircuitBreaker::new(cfg);
         for t in 0..3 {
             b.record_failure(t);
@@ -231,7 +208,7 @@ mod tests {
 
     #[test]
     fn silent_probe_reopens() {
-        let cfg = BreakerConfig { open_ms: 100, probe_timeout_ms: 50, ..BreakerConfig::on() };
+        let cfg = BreakerConfig { open_ms: 100, probe_timeout_ms: 50, ..BreakerConfig::default() };
         let mut b = CircuitBreaker::new(cfg);
         for t in 0..3 {
             b.record_failure(t);
@@ -247,7 +224,8 @@ mod tests {
 
     #[test]
     fn contact_from_open_peer_goes_half_open_promptly() {
-        let cfg = BreakerConfig { open_ms: 10_000, probe_timeout_ms: 50, ..BreakerConfig::on() };
+        let cfg =
+            BreakerConfig { open_ms: 10_000, probe_timeout_ms: 50, ..BreakerConfig::default() };
         let mut b = CircuitBreaker::new(cfg);
         for t in 0..3 {
             b.record_failure(t);
@@ -260,15 +238,13 @@ mod tests {
         // The caller's probe gets answered: closed.
         b.record_success();
         assert_eq!(b.decide(110), ForwardDecision::Forward);
-        // Closed and disabled breakers ignore contact.
+        // A closed breaker ignores contact.
         assert!(!b.note_contact(120));
-        let mut off = CircuitBreaker::new(BreakerConfig::default());
-        assert!(!off.note_contact(0));
     }
 
     #[test]
     fn failure_in_half_open_reopens() {
-        let cfg = BreakerConfig { open_ms: 100, ..BreakerConfig::on() };
+        let cfg = BreakerConfig { open_ms: 100, ..BreakerConfig::default() };
         let mut b = CircuitBreaker::new(cfg);
         for t in 0..3 {
             b.record_failure(t);

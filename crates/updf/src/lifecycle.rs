@@ -24,8 +24,8 @@
 //! * **Connected** — an active overlay link; queries forward over the
 //!   sorted `connected` set.
 //! * **Departed** — observed dead; per-peer state (result-cache entries,
-//!   pending acks, ledger streams, suspicion, breakers) is swept. A
-//!   departed peer that returns starts over via `Refer`/`Dial`.
+//!   pending acks, ledger streams, breakers) is swept. A departed peer
+//!   that returns starts over via `Refer`/`Dial`.
 //!
 //! **Scored swapping:** each link carries [`LinkStats`] (latency EWMA,
 //! F11 result-yield EWMA, breaker-history failures). On a soft-state

@@ -59,7 +59,8 @@ use wsda_obs::{
 };
 use wsda_pdp::framing::{frame_is_query, write_frame, FrameReader};
 use wsda_pdp::{
-    Message, QueryLanguage, ResponseMode, ResultCache, ResultLedger, Scope, Sym, TransactionId,
+    EdgeStream, Message, QueryLanguage, ResponseMode, ResultCache, ResultLedger, Scope, Sym,
+    TransactionId,
 };
 use wsda_registry::clock::SystemClock;
 use wsda_registry::{
@@ -650,8 +651,8 @@ impl LiveNetwork {
 
 /// Run one query as a detached client over any [`FrameTransport`]:
 /// register `client_id`, inject the query at `entry`, and collect routed
-/// results until the entry node's final frame arrives or `timeout`
-/// elapses. This is exactly the client half of
+/// results until the entry node's edge closes (its final frame and every
+/// frame the final counts are in) or `timeout` elapses. This is exactly the client half of
 /// [`LiveNetwork::query_with_scope`], exposed so multi-process
 /// deployments (peers in other processes, reached over
 /// [`TcpTransport`]) can drive the same protocol.
@@ -715,7 +716,9 @@ pub fn client_query_on(
     let mut reader = FrameReader::new();
     let mut ledger = ResultLedger::new();
     let mut replays: u64 = 0;
-    // The entry peer's final frame, once it arrived: its lost subtrees.
+    // The entry peer's edge, closed by the node core's rule; once closed,
+    // the subtrees its final reported lost.
+    let mut edge = EdgeStream::default();
     let mut closed: Option<u64> = None;
     let deadline = Instant::now() + timeout;
     'outer: loop {
@@ -727,8 +730,8 @@ pub fn client_query_on(
             Ok(envelope) => {
                 reader.extend(&envelope.message);
                 while let Ok(Some(message)) = reader.next_message() {
-                    // A `Partial` closes the entry peer's side like a final
-                    // `Results` frame, carrying the subtrees it lost.
+                    // A `Partial` is a final `Results` frame that carries
+                    // the subtrees its sender lost.
                     let (transaction, seq, items, last) = match message {
                         Message::Results { transaction, seq, items, last, .. } => {
                             (transaction, seq, items, last.then_some(0))
@@ -738,7 +741,7 @@ pub fn client_query_on(
                         }
                         _ => continue,
                     };
-                    if transaction != txn {
+                    if transaction != txn || envelope.from != entry {
                         continue;
                     }
                     if ack_results {
@@ -750,8 +753,8 @@ pub fn client_query_on(
                         }
                     }
                     results.extend(items);
-                    if last.is_some() {
-                        closed = last;
+                    closed = edge.count(seq, last);
+                    if closed.is_some() {
                         break 'outer;
                     }
                 }
@@ -1233,7 +1236,6 @@ mod tests {
             jitter_ms: 0,
             watchdog_timeout_ms: 150,
             breaker: crate::breaker::BreakerConfig {
-                enabled: true,
                 failure_threshold: 1,
                 // Long open window: the second query must land inside it.
                 open_ms: 60_000,

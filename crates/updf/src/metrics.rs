@@ -41,14 +41,13 @@ pub struct QueryMetrics {
     pub deadline_hit: bool,
     /// `Results` retransmissions plus watchdog re-queries sent (recovery).
     pub retries_sent: u64,
-    /// Frames whose retry budget ran out without an ack; the neighbor is
-    /// suspected dead afterwards.
+    /// Frames whose retry budget ran out without an ack. The receiver's
+    /// edge stays open without them, so its watchdog abandons the sender.
     pub acks_timed_out: u64,
     /// Forwarded subtrees abandoned by the child-liveness watchdog.
     pub subtrees_abandoned: u64,
-    /// Lost subtrees the originator counted in-band: its own, those its
-    /// children's `Partial` finals carried, and one per direct or referral
-    /// child whose final never followed its data frame.
+    /// Lost subtrees the originator counted in-band: its own, and those
+    /// its children's `Partial` finals carried when their edges closed.
     pub errors_received: u64,
     /// Replayed `Results` frames suppressed by sequence-number dedup
     /// (retransmissions and network duplicates).

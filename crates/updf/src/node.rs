@@ -3,9 +3,19 @@
 //! Everything a PDP node decides lives here, once: loop detection and
 //! prune-acks, the routed/direct/referral relay with pipelining or
 //! store-and-forward, node-abort and child-watchdog timers, the ack ledger
-//! with bounded retransmission, circuit breakers and suspicion, the edge
-//! result cache (lookup, population and taint), `sweep_expired`
+//! with bounded retransmission, counted edge streams, circuit breakers, the
+//! edge result cache (lookup, population and taint), `sweep_expired`
 //! retirement, the departure sweep and hop-level trace emission.
+//!
+//! Two rules decide when a node stops waiting on a neighbor:
+//!
+//! * a child's edge closes only when its final frame has arrived together
+//!   with every frame the final's number counts
+//!   ([`NodeStateTable::child_frame`]); a child whose edge never closes is
+//!   lost to the watchdog, the abort timer or the deadline;
+//! * with recovery on, circuit breakers are the only neighbor-failure
+//!   rule: an open breaker sheds a forward as a lost subtree, and a
+//!   half-open probe rehabilitates the neighbor.
 //!
 //! A [`NodeCore`] has three inputs — [`NodeCore::on_frame`],
 //! [`NodeCore::on_timer`] and [`NodeCore::on_eval_done`] — and answers by
@@ -24,7 +34,7 @@
 //! also keeps the run's bookkeeping here: deliveries, the `max_results`
 //! close, the origin deadline and the originator's cache entry.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::breaker::{CircuitBreaker, ForwardDecision};
@@ -349,10 +359,6 @@ struct Run {
     /// from cache): the delivered set is second-hand and must not be
     /// re-installed in the origin's result cache.
     saw_cached: bool,
-    /// Direct and referral runs: children whose data frame closed their
-    /// edge and whose own final, perhaps a `Partial`, has not come yet. One
-    /// that never comes is a lost subtree.
-    awaiting_final: Vec<NodeId>,
 }
 
 /// One PDP node's protocol state. An idle node owns no heap.
@@ -363,12 +369,12 @@ pub struct NodeCore {
     ledger: ResultLedger,
     /// Sent-but-unacked `Results` frames keyed by (txn, receiver, seq).
     pending_acks: HashMap<(TransactionId, NodeId, u64), Unacked>,
-    /// Neighbors that exhausted a retry budget or a watchdog; skipped by
-    /// later forwards unless breakers are on.
-    suspected: HashSet<NodeId>,
-    /// Per-neighbor circuit breakers (when enabled these subsume the
-    /// permanent `suspected` filter: open breakers shed forwards, and a
-    /// half-open probe answered with `Pong` rehabilitates the neighbor).
+    /// Next frame number on a direct or referral node's edges to receivers
+    /// other than its parent (the originator, prune-acked senders).
+    edge_seqs: HashMap<(TransactionId, NodeId), u64>,
+    /// Per-neighbor circuit breakers, created by a neighbor's first
+    /// send/ack failure: open breakers shed forwards, and a half-open probe
+    /// answered with `Pong` rehabilitates the neighbor.
     breakers: HashMap<NodeId, CircuitBreaker>,
     /// Compiled-query cache: one parse per distinct query string, shared
     /// by every hop and retransmission that reaches this node.
@@ -388,7 +394,7 @@ impl NodeCore {
             txns: HashMap::new(),
             ledger: ResultLedger::new(),
             pending_acks: HashMap::new(),
-            suspected: HashSet::new(),
+            edge_seqs: HashMap::new(),
             breakers: HashMap::new(),
             qcache: QueryCache::default(),
             rcache: ResultCache::new(result_cache_capacity, result_cache_ttl_ms),
@@ -488,32 +494,27 @@ impl NodeCore {
             max_results: scope.max_results,
             delivered: 0,
             saw_cached: false,
-            awaiting_final: Vec::new(),
         }));
         // The origin deadline mirrors the scope's abort budget.
         env.schedule(scope.abort_timeout_ms, false, Timer::OriginDeadline { txn });
     }
 
     /// End the run this node originated: the subtrees it lost (its own,
-    /// those its children's `Partial` finals reported, and one per child
-    /// whose final never followed its data frame), and whether its
+    /// and those its children's `Partial` finals reported), and whether its
     /// deadline fired before it completed.
     pub fn finish_run(&mut self, txn: TransactionId) -> (u64, bool) {
-        let run = self.run.take().filter(|r| r.txn == txn);
-        let (unclosed, deadline_hit) =
-            run.map_or((0, false), |r| (r.awaiting_final.len() as u64, r.deadline_hit));
+        let deadline_hit = self.run.take().filter(|r| r.txn == txn).is_some_and(|r| r.deadline_hit);
         let lost = self.txns.get(&txn).and_then(|i| i.work.as_ref()).map_or(0, |w| w.lost);
-        (lost.saturating_add(unclosed), deadline_hit)
+        (lost, deadline_hit)
     }
 
     /// A frame arrived from `from`.
     pub fn on_frame(&mut self, env: &mut Env<'_>, from: NodeId, message: Message) {
         if env.cfg.client != Some(from) {
-            // Any frame from a peer is proof of life: clear standing
-            // suspicion and move an open breaker to half-open, probing
-            // immediately, so a rejoined or restarted peer is re-probed
-            // promptly instead of waiting out the open window.
-            self.suspected.remove(&from);
+            // Any frame from a peer is proof of life: move an open breaker
+            // to half-open, probing immediately, so a rejoined or restarted
+            // peer is re-probed promptly instead of waiting out the open
+            // window.
             let now_ms = env.now_ms;
             if self.breakers.get_mut(&from).is_some_and(|b| b.note_contact(now_ms)) {
                 env.metrics.breaker_probes += 1;
@@ -533,12 +534,13 @@ impl NodeCore {
                 );
             }
             Message::Results { transaction, seq, items, last, origin, cached } => {
-                self.on_results(env, from, transaction, seq, items, last, 0, origin, cached);
+                let last = last.then_some(0);
+                self.on_results(env, from, transaction, seq, items, last, origin, cached);
             }
             Message::Partial { transaction, seq, items, lost } => {
                 // A final frame's items travel under its sender's endpoint.
                 let origin = format!("n{}", from.0);
-                self.on_results(env, from, transaction, seq, items, true, lost, origin, false);
+                self.on_results(env, from, transaction, seq, items, Some(lost), origin, false);
             }
             Message::Ack { transaction, seq } => {
                 self.pending_acks.remove(&(transaction, from, seq));
@@ -562,7 +564,6 @@ impl NodeCore {
             Message::Pong => {
                 // The half-open probe answered: the neighbor is back.
                 self.breaker_success(from);
-                self.suspected.remove(&from);
             }
         }
     }
@@ -645,7 +646,7 @@ impl NodeCore {
             ResponseMode::Direct { originator } => {
                 if !items.is_empty() {
                     if let Some(target) = parse_endpoint(&originator) {
-                        self.send_results(env, target, txn, items, Some(0), None, false);
+                        self.send_results(env, target, txn, items, None, None, false);
                     }
                 }
             }
@@ -668,8 +669,8 @@ impl NodeCore {
 
     /// `gone` departed: lifecycle transition plus the per-peer state sweep
     /// — cached results folded from the peer, result streams it sent,
-    /// frames awaiting its ack, suspicion and breaker history all go with
-    /// it. True when the peer was known and is now marked Departed.
+    /// frames awaiting its ack and breaker history all go with it. True
+    /// when the peer was known and is now marked Departed.
     pub fn on_peer_departed(&mut self, peers: &mut PeerTable, gone: NodeId, now_ms: u64) -> bool {
         if !peers.depart(gone, now_ms) {
             return false;
@@ -677,19 +678,16 @@ impl NodeCore {
         self.rcache.purge_source(gone.0);
         self.ledger.forget_sender(Sym(gone.0));
         self.pending_acks.retain(|(_, to, _), _| *to != gone);
-        self.suspected.remove(&gone);
         self.breakers.remove(&gone);
         true
     }
 
-    /// The breaker for `neighbor`, created closed on first use.
-    fn breaker(&mut self, cfg: &CoreConfig, neighbor: NodeId) -> &mut CircuitBreaker {
-        self.breakers.entry(neighbor).or_insert_with(|| CircuitBreaker::new(cfg.recovery.breaker))
-    }
-
-    /// Record a send/ack failure toward `neighbor`; true when it tripped.
+    /// Record a send/ack failure toward `neighbor`, creating its breaker
+    /// closed on the first one; true when it tripped. Only recovery fails
+    /// sends, so breakers run exactly when recovery does.
     fn breaker_failure(&mut self, cfg: &CoreConfig, neighbor: NodeId, now_ms: u64) -> bool {
-        cfg.recovery.breaker.enabled && self.breaker(cfg, neighbor).record_failure(now_ms)
+        let breaker = self.breakers.entry(neighbor);
+        breaker.or_insert_with(|| CircuitBreaker::new(cfg.recovery.breaker)).record_failure(now_ms)
     }
 
     /// Record proof of life from `neighbor` (ack or pong).
@@ -719,6 +717,7 @@ impl NodeCore {
             self.ledger.forget(expired);
             self.txns.remove(&expired);
             self.pending_acks.retain(|(t, _, _), _| *t != expired);
+            self.edge_seqs.retain(|(t, _), _| *t != expired);
         }
         let parent_sym = parent.map(|p| Sym(p.0));
         if self.state.begin(txn, parent_sym, now, scope.loop_timeout_ms) == BeginOutcome::Duplicate
@@ -733,7 +732,7 @@ impl NodeCore {
             let held = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut());
             if let (Some(target), Some(work)) = (fetch, held.filter(|w| !w.buffer.is_empty())) {
                 let items = std::mem::take(&mut work.buffer);
-                self.send_results(env, target, txn, items, Some(0), None, false);
+                self.send_results(env, target, txn, items, None, None, false);
                 return;
             }
             // A replay from the recorded parent (network duplication, or a
@@ -837,37 +836,29 @@ impl NodeCore {
             env.metrics.scope_prunes += 1;
             return;
         };
-        // With breakers enabled they subsume the permanent `suspected`
-        // filter: an open breaker sheds, and a later probe can rehabilitate
-        // the neighbor; suspicion alone never forgives.
-        let breaker_on = env.cfg.recovery.breaker.enabled;
         // With the lifecycle on, forwarding runs over the node's dynamic
         // Connected set; at zero churn that set is exactly the sorted
         // underlay neighbor list, so both paths emit identical forwards.
         let neighbor_src: &[NodeId] =
             if env.cfg.lifecycle { env.peers.connected() } else { env.neighbors };
-        let candidates: Vec<NodeId> = neighbor_src
-            .iter()
-            .copied()
-            .filter(|&c| Some(c) != parent)
-            .filter(|c| breaker_on || !self.suspected.contains(c))
-            .collect();
+        let candidates: Vec<NodeId> =
+            neighbor_src.iter().copied().filter(|&c| Some(c) != parent).collect();
         let targets = policy.select(&candidates, env.node, txn, env.routing);
         let mut forwarded_any = false;
         for target in targets {
-            if breaker_on {
-                let decision = self.breaker(env.cfg, target).decide(env.now_ms);
-                if decision != ForwardDecision::Forward {
-                    env.metrics.breaker_sheds += 1;
-                    if decision == ForwardDecision::ShedAndProbe {
-                        env.metrics.breaker_probes += 1;
-                        env.send(target, Message::Ping);
-                    }
-                    if let Some(info) = self.txns.get_mut(&txn) {
-                        info.lose(1);
-                    }
-                    continue;
+            // A neighbor without a breaker never failed: forward.
+            let breaker = self.breakers.get_mut(&target);
+            let decision = breaker.map_or(ForwardDecision::Forward, |b| b.decide(env.now_ms));
+            if decision != ForwardDecision::Forward {
+                env.metrics.breaker_sheds += 1;
+                if decision == ForwardDecision::ShedAndProbe {
+                    env.metrics.breaker_probes += 1;
+                    env.send(target, Message::Ping);
                 }
+                if let Some(info) = self.txns.get_mut(&txn) {
+                    info.lose(1);
+                }
+                continue;
             }
             forwarded_any = true;
             if env.cfg.lifecycle {
@@ -945,13 +936,12 @@ impl NodeCore {
         self.send_results(env, p, txn, items, Some(lost), origin, tainted);
     }
 
-    /// Send a results frame to `to`, allocating the per-transaction
-    /// sequence number; with recovery on, the frame is tracked for
-    /// retransmission until acked. `last` is `Some(lost)` for a final
-    /// frame, a `Partial` when `lost > 0`. `relayed` is `Some(origin)` when
-    /// the frame carries items from children: they count as relayed bytes
-    /// and travel under that origin. `None` sends under this node's
-    /// endpoint.
+    /// Send a results frame to `to`, numbered on that edge; with recovery
+    /// on, the frame is tracked for retransmission until acked. `last` is
+    /// `Some(lost)` for a final frame, a `Partial` when `lost > 0`.
+    /// `relayed` is `Some(origin)` when the frame carries items from
+    /// children: they count as relayed bytes and travel under that origin.
+    /// `None` sends under this node's endpoint.
     #[allow(clippy::too_many_arguments)]
     fn send_results(
         &mut self,
@@ -963,7 +953,7 @@ impl NodeCore {
         relayed: Option<String>,
         cached: bool,
     ) {
-        let seq = self.state.get_mut(&txn).map(|s| s.alloc_seq()).unwrap_or(0);
+        let seq = self.next_seq(txn, to);
         env.trace(TraceKind::Results, txn, Some(to), Some(items.len() as u64));
         let is_relay = relayed.is_some();
         let message = match last {
@@ -979,18 +969,36 @@ impl NodeCore {
         }
         let recovery = &env.cfg.recovery;
         if recovery.enabled {
-            self.pending_acks.insert(
-                (txn, to, seq),
-                Unacked {
-                    message: message.clone(),
-                    retries_left: recovery.max_retries,
-                    backoff_ms: recovery.backoff_ms(1),
-                },
-            );
-            let delay = recovery.ack_timeout_ms;
-            env.schedule(delay, true, Timer::RetryResults { txn, to, seq });
+            let unacked = Unacked {
+                message: message.clone(),
+                retries_left: recovery.max_retries,
+                backoff_ms: recovery.backoff_ms(1),
+            };
+            // A repeated prune-ack reuses its number: one retry chain.
+            if self.pending_acks.insert((txn, to, seq), unacked).is_none() {
+                let delay = recovery.ack_timeout_ms;
+                env.schedule(delay, true, Timer::RetryResults { txn, to, seq });
+            }
         }
         env.send(to, message);
+    }
+
+    /// The number of the next frame on `txn`'s edge to `to`. Frames to the
+    /// parent count in the state table. A routed node sends anyone else
+    /// only a prune-ack, alone on its edge and numbered 0; a direct or
+    /// referral node also sends data frames and fetch replies to the
+    /// originator, so its other edges count per receiver.
+    fn next_seq(&mut self, txn: TransactionId, to: NodeId) -> u64 {
+        let Some(state) = self.state.get_mut(&txn) else { return 0 };
+        if state.parent == Some(Sym(to.0)) {
+            return state.alloc_seq();
+        }
+        if self.txns.get(&txn).is_none_or(|i| i.routed) {
+            return 0;
+        }
+        let next = self.edge_seqs.entry((txn, to)).or_insert(0);
+        *next += 1;
+        *next - 1
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1001,8 +1009,7 @@ impl NodeCore {
         txn: TransactionId,
         seq: u64,
         items: Vec<String>,
-        last: bool,
-        lost: u64,
+        last: Option<u64>,
         origin_ep: String,
         cached: bool,
     ) {
@@ -1032,30 +1039,10 @@ impl NodeCore {
                 env.peers.note_results(from, latency, items.len() as u64);
             }
         }
-
-        // A `Partial` that closes a still-pending edge adds its losses; one
-        // from a child already abandoned or aborted was counted then. In a
-        // direct or referral run a child's data frame closes its edge at
-        // the originator, which then waits for that child's final.
-        if last && (lost > 0 || self.run_mut(txn).is_some()) {
-            let pending =
-                self.state.get(&txn).is_some_and(|s| s.pending_children.contains(&from_sym));
-            let data =
-                lost == 0 && !items.is_empty() && self.txns.get(&txn).is_some_and(|i| !i.routed);
-            let counts = match self.run_mut(txn) {
-                Some(run) if data => {
-                    run.awaiting_final.extend(pending.then_some(from));
-                    false
-                }
-                Some(run) => {
-                    let awaited = run.awaiting_final.iter().position(|&c| c == from);
-                    pending || awaited.map(|i| run.awaiting_final.swap_remove(i)).is_some()
-                }
-                None => pending,
-            };
-            if let (1.., true, Some(info)) = (lost, counts, self.txns.get_mut(&txn)) {
-                info.lose(lost);
-            }
+        // A `Partial` adds its losses when its edge closes.
+        let ends_edge = self.state.child_frame(&txn, from_sym, seq, last);
+        if let (Some(lost @ 1..), Some(info)) = (ends_edge, self.txns.get_mut(&txn)) {
+            info.lose(lost);
         }
 
         if self.run_mut(txn).is_some() {
@@ -1071,9 +1058,7 @@ impl NodeCore {
                 }
             }
             self.deliver(env, txn, items);
-            // Direct-mode *data* frames carry last=true for the sender's
-            // local data but end a tree edge only for a tracked child.
-            if last && self.state.child_done(&txn, from_sym) {
+            if ends_edge.is_some() {
                 self.complete_at_origin(env, txn);
             }
             return;
@@ -1114,7 +1099,7 @@ impl NodeCore {
         if let Some((p, items)) = relay {
             self.send_results(env, p, txn, items, None, Some(origin_ep), cached);
         }
-        if last && self.state.child_done(&txn, from_sym) && !aborted {
+        if ends_edge.is_some() && !aborted && self.state.get(&txn).is_some_and(|s| s.complete()) {
             self.finalize_node(env, txn);
         }
     }
@@ -1142,12 +1127,12 @@ impl NodeCore {
     }
 
     fn broadcast_close(&mut self, env: &mut Env<'_>, txn: TransactionId) {
-        // `pending_children` is a sorted `Vec<Sym>`, so close fan-out
+        // Pending children come in ascending order, so close fan-out
         // consumes a chaos RNG in a fixed order.
         let children: Vec<NodeId> = self
             .state
             .get(&txn)
-            .map(|s| s.pending_children.iter().map(|sym| NodeId(sym.0)).collect())
+            .map(|s| s.pending_children().map(|sym| NodeId(sym.0)).collect())
             .unwrap_or_default();
         self.state.close(&txn);
         env.trace(TraceKind::Close, txn, None, None);
@@ -1162,7 +1147,7 @@ impl NodeCore {
     /// only frames knows the answer is partial.
     fn node_abort(&mut self, env: &mut Env<'_>, txn: TransactionId) {
         let Some(state) = self.state.get(&txn).filter(|s| !s.complete()) else { return };
-        let gave_up = state.pending_children.len() as u64 + u64::from(!state.local_done);
+        let gave_up = state.pending_children().len() as u64 + u64::from(!state.local_done);
         let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted && !i.finalized) else {
             return;
         };
@@ -1188,7 +1173,7 @@ impl NodeCore {
     }
 
     /// A retry timer fired: if the frame is still unacked, retransmit with
-    /// exponential backoff, or give up and suspect the neighbor.
+    /// exponential backoff, or give up. Each firing is a breaker failure.
     fn retry_results(&mut self, env: &mut Env<'_>, txn: TransactionId, to: NodeId, seq: u64) {
         let factor = env.cfg.recovery.backoff_factor.max(1);
         let step = {
@@ -1210,7 +1195,6 @@ impl NodeCore {
         }
         let Some((message, backoff)) = step else {
             self.pending_acks.remove(&(txn, to, seq));
-            self.suspected.insert(to);
             if env.cfg.lifecycle {
                 env.peers.note_failure(to);
             }
@@ -1232,7 +1216,7 @@ impl NodeCore {
         // The state table keeps children sorted, so a chaos RNG is consumed
         // in a fixed order and runs stay reproducible.
         let pending: Vec<Sym> =
-            self.state.get(&txn).map(|s| s.pending_children.clone()).unwrap_or_default();
+            self.state.get(&txn).map(|s| s.pending_children().collect()).unwrap_or_default();
         if pending.is_empty() {
             return;
         }
@@ -1265,7 +1249,6 @@ impl NodeCore {
         for &child_sym in &pending {
             let child = NodeId(child_sym.0);
             env.trace(TraceKind::Abandon, txn, Some(child), None);
-            self.suspected.insert(child);
             if self.breaker_failure(env.cfg, child, env.now_ms) {
                 env.metrics.breaker_opens += 1;
             }

@@ -7,14 +7,17 @@
 //! threaded deployment:
 //!
 //! * **acked results + bounded retransmission** — every `Results` frame
-//!   carries a per-sender sequence number and is retransmitted with
+//!   carries its sequence number on its edge and is retransmitted with
 //!   exponential backoff (plus jitter) until acknowledged or the retry
 //!   budget is exhausted,
 //! * **child-liveness watchdog** — a node waiting on forwarded subtrees
-//!   re-sends the query once, then abandons children that stay silent,
-//!   so a lost subtree degrades the answer instead of hanging the query,
-//! * **dead-neighbor suspicion** — neighbors that exhaust the retry
-//!   budget are suspected and skipped by later forwards,
+//!   re-sends the query once, then abandons children whose edge has not
+//!   closed, so a lost subtree degrades the answer instead of hanging the
+//!   query,
+//! * **circuit breakers** — the one neighbor-failure rule: every fired
+//!   retry timer and every abandon is a failure, and an open breaker sheds
+//!   later forwards as lost subtrees until a probe answers (see
+//!   [`crate::breaker`]),
 //! * **completeness** — every run reports whether the full tree
 //!   answered or how many subtrees were given up on: losses ride each
 //!   node's final frame, and both originators decide with [`completeness`].
@@ -28,7 +31,9 @@ pub struct RecoveryConfig {
     pub enabled: bool,
     /// How long to wait for an `Ack` before the first retransmission.
     pub ack_timeout_ms: u64,
-    /// Retransmissions per frame before the neighbor is suspected dead.
+    /// Retransmissions per frame before the sender gives up on it; a frame
+    /// that never arrives leaves its edge open until the receiver's
+    /// watchdog abandons the sender.
     pub max_retries: u32,
     /// Backoff multiplier between successive retransmissions.
     pub backoff_factor: u64,
@@ -38,9 +43,9 @@ pub struct RecoveryConfig {
     /// How long a node waits on silent forwarded subtrees before
     /// re-querying them (once) and then abandoning them.
     pub watchdog_timeout_ms: u64,
-    /// Per-neighbor circuit breaker (see [`crate::breaker`]): sheds
-    /// forwards to neighbors with K consecutive send/ack failures and
-    /// rehabilitates them through half-open probe frames.
+    /// Per-neighbor circuit breaker thresholds (see [`crate::breaker`]):
+    /// breakers shed forwards to neighbors with K consecutive send/ack
+    /// failures and rehabilitate them through half-open probe frames.
     pub breaker: crate::breaker::BreakerConfig,
 }
 
@@ -76,10 +81,7 @@ impl RecoveryConfig {
             backoff_factor: 2,
             jitter_ms: 30,
             watchdog_timeout_ms: 1_500,
-            // Live threads talk to real (killable) peers: breakers on, so
-            // forwards to a dead peer are shed after one query's worth of
-            // failed retransmissions instead of burning budget each time.
-            breaker: crate::breaker::BreakerConfig::on(),
+            breaker: crate::breaker::BreakerConfig::default(),
         }
     }
 

@@ -92,7 +92,6 @@ fn admission_gate_degrades_scans_to_lower_bounds() {
 fn breakers_open_and_shed_under_sustained_loss() {
     let recovery = RecoveryConfig {
         breaker: BreakerConfig {
-            enabled: true,
             failure_threshold: 1,
             // Longer than the test: opened breakers stay open, making the
             // shed accounting deterministic.

@@ -184,6 +184,23 @@ fn sim_mutations_invalidate_before_the_next_query() {
 /// Leak regression: a long history of distinct queries cannot grow the
 /// caches past their LRU capacity — entries stay proportional to the
 /// capacity bound, never to the transaction count.
+/// Under jittered latency a final can overtake an earlier frame on its
+/// edge. An originator that completed on it would cache a short answer,
+/// and its warm repeat would serve that instead of the cold one.
+#[test]
+fn sim_warm_repeat_under_jitter_serves_the_cold_answer() {
+    let query = "//service[load < 0.5]/owner";
+    let model = NetworkModel::uniform(5, 25);
+    let mut net = SimNetwork::build(Topology::tree(15, 2), model, P2pConfig::default());
+    let scope = Scope { result_staleness_ms: 60_000, ..Scope::default() };
+    let cold = net.run_query(NodeId(0), query, scope.clone(), ResponseMode::Routed);
+    let warm = net.run_query(NodeId(0), query, scope, ResponseMode::Routed);
+    assert!(cold.completeness.is_complete() && warm.completeness.is_complete());
+    assert!(warm.metrics.cache_served > 0, "the repeat is served from the origin's cache");
+    let (cold, warm) = (sorted(cold.results), sorted(warm.results));
+    assert_eq!(warm, cold, "the warm repeat serves {} of {} items", warm.len(), cold.len());
+}
+
 #[test]
 fn sim_result_cache_stays_bounded_across_many_transactions() {
     const TXNS: usize = 120;

@@ -13,7 +13,8 @@
 //! and off, radius, static vs dynamic timeouts with slow nodes, recovery
 //! under a `ChaosPlan`, the agent model, SQL, admission shed and degrade,
 //! result-cache serving after a planted publish, lifecycle with churn
-//! ticks, a `max_results` close, neighbor policies and breakers on.
+//! ticks, a `max_results` close, neighbor policies and fast-tripping
+//! breakers.
 //!
 //! Regenerate the fixture only for a deliberate change in protocol
 //! behaviour, and say which rows moved and why:
@@ -275,15 +276,11 @@ fn lines() -> Vec<String> {
         out.push(line(&format!("policy/{policy}"), &net, &run));
     }
 
-    // Breakers on: the overlay of `overload.rs` under sustained loss,
-    // three rounds of queries from every origin.
+    // Breakers that trip on the first failure: the overlay of
+    // `overload.rs` under sustained loss, three rounds of queries from
+    // every origin.
     let recovery = RecoveryConfig {
-        breaker: BreakerConfig {
-            enabled: true,
-            failure_threshold: 1,
-            open_ms: 10_000_000,
-            probe_timeout_ms: 300,
-        },
+        breaker: BreakerConfig { failure_threshold: 1, open_ms: 10_000_000, probe_timeout_ms: 300 },
         ..RecoveryConfig::on()
     };
     let mut net = SimNetwork::build_with_faults(
