@@ -99,7 +99,7 @@ impl GlobalMutexRegistry {
         store.sweep(now);
         store.upsert(link, "service", context, now, TTL_MS);
         if let Some(t) = store.get_mut(link) {
-            t.set_content(Arc::new(content.clone()), now);
+            t.set_content(content, now);
         }
     }
 

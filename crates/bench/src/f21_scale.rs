@@ -165,13 +165,14 @@ pub fn run(quick: bool) -> Report {
                 c.idle_bytes_per_node
             );
             // Peak guardrail: with every registry materialized mid-flood
-            // the process high-water mark runs ~46 KB/node at 10^4 nodes;
-            // 128 KB/node flags an order-of-magnitude regression without
-            // tripping on allocator slack.
+            // the process high-water mark runs ~28 KB/node at 10^4 nodes,
+            // four tuples per node each holding one copy of its content.
+            // 40 KB/node catches a second copy of every tuple's content
+            // (~47 KB/node) without tripping on allocator slack.
             let peak_per_node = peak_rss_kb() as f64 * 1024.0 / n as f64;
             assert!(
-                peak_per_node < 128.0 * 1024.0,
-                "{n} nodes: peak RSS {:.0} B/node (guardrail 128 KB)",
+                peak_per_node < 40.0 * 1024.0,
+                "{n} nodes: peak RSS {:.0} B/node (guardrail 40 KB)",
                 peak_per_node
             );
         }

@@ -236,6 +236,18 @@ impl Inner {
         }
     }
 
+    /// Keep `handle` for `Drop` to join, first joining every thread that
+    /// has already exited (which returns at once): a node that registers
+    /// and deregisters over and over (a client per query) retires one
+    /// accept thread each time, and an unjoined handle pins its stack.
+    fn track(&self, handle: JoinHandle<()>) {
+        let mut threads = self.threads.lock();
+        for exited in threads.extract_if(.., |h| h.is_finished()) {
+            let _ = exited.join();
+        }
+        threads.push(handle);
+    }
+
     fn classify(&self, frame: &[u8]) -> bool {
         self.classifier.lock().as_ref().is_some_and(|c| c(frame))
     }
@@ -337,8 +349,7 @@ impl Inner {
                 }
                 let inner = self.clone();
                 let writer = conn.clone();
-                let handle = std::thread::spawn(move || writer_loop(inner, from, to, writer));
-                self.threads.lock().push(handle);
+                self.track(std::thread::spawn(move || writer_loop(inner, from, to, writer)));
                 Some(conn)
             }
             Err(_) => {
@@ -423,8 +434,7 @@ impl TcpTransport {
             old.inbox.close();
         }
         let inner = self.inner.clone();
-        let handle = std::thread::spawn(move || accept_loop(inner, listener, closed));
-        self.inner.threads.lock().push(handle);
+        self.inner.track(std::thread::spawn(move || accept_loop(inner, listener, closed)));
         Ok(Inbox::from_shared(inbox))
     }
 
@@ -600,7 +610,12 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener, closed: Arc<AtomicBool>
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let stream = Arc::new(stream);
-                inner.accepted.lock().push(stream.clone());
+                {
+                    let mut accepted = inner.accepted.lock();
+                    // A stream only this list still holds lost its reader.
+                    accepted.retain(|s| Arc::strong_count(s) > 1);
+                    accepted.push(stream.clone());
+                }
                 let reader_inner = inner.clone();
                 // Reader threads are deliberately not joined: they exit
                 // within one read timeout of shutdown (Drop also slams
@@ -912,6 +927,52 @@ mod tests {
         assert!(healed);
         assert_eq!(recv_message(&b, &mut reader), Some(results(2)));
         assert!(net.stats().reconnects >= 1, "healing must count a reconnect");
+    }
+
+    #[test]
+    fn register_churn_keeps_no_handle_of_an_exited_accept_thread() {
+        let net = TcpTransport::new();
+        for _ in 0..500 {
+            let _inbox = net.register(NodeId(0));
+            net.deregister(NodeId(0));
+        }
+        // Each accept thread exits within one poll of its deregistration,
+        // and the next registration drops the handles of exited threads.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let retained = loop {
+            let _inbox = net.register(NodeId(0));
+            net.deregister(NodeId(0));
+            let retained = net.inner.threads.lock().len();
+            if retained <= 2 || Instant::now() > deadline {
+                break retained;
+            }
+            std::thread::sleep(POLL);
+        };
+        assert!(retained <= 2, "{retained} thread handles retained after 500 registrations");
+    }
+
+    #[test]
+    fn accepted_streams_whose_reader_exited_are_forgotten() {
+        let net = TcpTransport::new();
+        let _a = net.register(NodeId(0));
+        let mut reader = FrameReader::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut cycles = 0;
+        loop {
+            let b = net.register(NodeId(1));
+            assert!(net.send_frame(NodeId(0), NodeId(1), frame(&results(cycles))));
+            assert_eq!(recv_message(&b, &mut reader), Some(results(cycles)));
+            net.deregister(NodeId(1));
+            // Node 1 is unknown now: this send closes the connection, so
+            // the accepted stream's reader reads EOF and exits.
+            assert!(!net.send_frame(NodeId(0), NodeId(1), frame(&results(cycles))));
+            cycles += 1;
+            let retained = net.inner.accepted.lock().len();
+            if cycles >= 50 && (retained <= 2 || Instant::now() > deadline) {
+                assert!(retained <= 2, "{retained} streams retained after {cycles} connections");
+                break;
+            }
+        }
     }
 
     #[test]

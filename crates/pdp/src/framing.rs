@@ -7,8 +7,9 @@
 //! thesis's BEEP/HTTP bindings provided.
 
 use crate::message::Message;
-use crate::wire::{decode, encode, encoded_len, WireError};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::{decode, encode_into, encoded_len, WireError};
+use bytes::{BufMut, BytesMut};
+use std::ops::Range;
 
 /// Largest accepted frame (matches the codec's sanity bound).
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
@@ -37,14 +38,26 @@ pub fn checked_frame_len(body_len: u64) -> Result<u32, WireError> {
 /// truncated the length prefix for oversize bodies, which desyncs the
 /// stream for every frame that follows. The length check runs against
 /// [`encoded_len`] *before* encoding, so a rejected message costs no
-/// allocation.
+/// allocation and leaves `out` untouched.
 pub fn write_frame(out: &mut BytesMut, message: &Message) -> Result<(), WireError> {
     let declared = checked_frame_len(encoded_len(message))?;
-    let body = encode(message);
-    debug_assert_eq!(body.len() as u64, declared as u64, "encoded_len mismatch");
+    let start = out.len();
     out.put_u32(declared);
-    out.put_slice(&body);
+    encode_into(out, message);
+    debug_assert_eq!(out.len() - start, 4 + declared as usize, "encoded_len mismatch");
     Ok(())
+}
+
+/// One framed message in its own exactly sized buffer — what a transport
+/// sends. The body is encoded straight into place, never copied. Fails
+/// like [`write_frame`], before allocating.
+pub fn encode_frame(message: &Message) -> Result<Vec<u8>, WireError> {
+    let declared = checked_frame_len(encoded_len(message))?;
+    let mut frame = Vec::with_capacity(4 + declared as usize);
+    frame.put_u32(declared);
+    encode_into(&mut frame, message);
+    debug_assert_eq!(frame.len(), 4 + declared as usize, "encoded_len mismatch");
+    Ok(frame)
 }
 
 /// Whether a framed buffer carries a `Query` message, without decoding it.
@@ -68,9 +81,16 @@ pub fn frame_is_query(frame: &[u8]) -> bool {
 /// Feed arbitrary chunks with [`FrameReader::extend`]; drain complete
 /// messages with [`FrameReader::next_message`]. Partial frames are
 /// buffered; a declared length above [`MAX_FRAME`] is a protocol error.
+///
+/// Frames are read in place behind a read offset. The unread tail moves
+/// to the front of the buffer at most once per [`FrameReader::extend`],
+/// never once per frame, and a reader drained to the last byte holds no
+/// allocation.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buffer: BytesMut,
+    buffer: Vec<u8>,
+    /// Bytes of `buffer` before this offset are consumed.
+    start: usize,
 }
 
 impl FrameReader {
@@ -81,12 +101,16 @@ impl FrameReader {
 
     /// Append received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            self.buffer.drain(..self.start);
+            self.start = 0;
+        }
         self.buffer.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered (for backpressure accounting).
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.start
     }
 
     /// Allocated capacity of the internal buffer (for retention tests and
@@ -98,10 +122,12 @@ impl FrameReader {
     /// Try to decode the next complete message. `Ok(None)` means more
     /// bytes are needed.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        match self.next_body()? {
-            None => Ok(None),
-            Some(body) => decode(&body).map(Some),
-        }
+        let Some(body) = self.next_body()? else {
+            return Ok(None);
+        };
+        let message = decode(&self.buffer[body]);
+        self.release();
+        message.map(Some)
     }
 
     /// Try to split off the next complete frame as raw bytes — the 4-byte
@@ -114,51 +140,48 @@ impl FrameReader {
     /// into one read) and forwards the bytes untouched, leaving the decode
     /// to the consuming peer thread.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match self.next_body()? {
-            None => Ok(None),
-            Some(body) => {
-                let mut frame = Vec::with_capacity(4 + body.len());
-                frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-                frame.extend_from_slice(&body);
-                Ok(Some(frame))
-            }
-        }
+        let Some(body) = self.next_body()? else {
+            return Ok(None);
+        };
+        let frame = self.buffer[body.start - 4..body.end].to_vec();
+        self.release();
+        Ok(Some(frame))
     }
 
-    /// Split off the next complete frame body, enforcing [`MAX_FRAME`].
-    fn next_body(&mut self) -> Result<Option<BytesMut>, WireError> {
-        if self.buffer.len() < 4 {
-            self.maybe_reclaim();
+    /// Consume the next complete frame and return its body's range in
+    /// `buffer`, enforcing [`MAX_FRAME`]. The caller reads the body, then
+    /// calls [`FrameReader::release`].
+    fn next_body(&mut self) -> Result<Option<Range<usize>>, WireError> {
+        let pending = &self.buffer[self.start..];
+        if pending.len() < 4 {
+            self.release();
             return Ok(None);
         }
-        let declared =
-            u32::from_be_bytes([self.buffer[0], self.buffer[1], self.buffer[2], self.buffer[3]]);
+        let declared = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]);
         if declared > MAX_FRAME {
             return Err(WireError::LengthOverflow(declared as u64));
         }
-        let total = 4 + declared as usize;
-        if self.buffer.len() < total {
-            self.maybe_reclaim();
+        let body = self.start + 4..self.start + 4 + declared as usize;
+        if body.end > self.buffer.len() {
+            self.release();
             return Ok(None);
         }
-        self.buffer.advance(4);
-        let body = self.buffer.split_to(declared as usize);
-        self.maybe_reclaim();
+        self.start = body.end;
         Ok(Some(body))
     }
 
-    /// Drop an oversized retained allocation once the buffer is mostly
-    /// drained: after a one-off large frame passes through, the buffer
-    /// must not pin that frame's worth of memory for the life of the
-    /// connection. Copies the (small) unread tail into a right-sized
-    /// buffer; a buffer that is still mostly full is left alone.
-    fn maybe_reclaim(&mut self) {
-        if self.buffer.capacity() > RECLAIM_CAPACITY
-            && self.buffer.len() * 4 < self.buffer.capacity()
-        {
-            let mut fresh = BytesMut::with_capacity(self.buffer.len());
-            fresh.extend_from_slice(&self.buffer);
-            self.buffer = fresh;
+    /// Give back memory the unread bytes do not need. A drained buffer is
+    /// freed outright. An oversized one that is mostly drained (after a
+    /// one-off large frame passed through) keeps only a right-sized copy
+    /// of its unread tail; a buffer that is still mostly full is left
+    /// alone.
+    fn release(&mut self) {
+        let unread = self.buffered();
+        if unread == 0 {
+            *self = Self::default();
+        } else if self.buffer.capacity() > RECLAIM_CAPACITY && unread * 4 < self.buffer.capacity() {
+            self.buffer = self.buffer[self.start..].to_vec();
+            self.start = 0;
         }
     }
 }
@@ -363,6 +386,38 @@ mod tests {
             got.push(m);
         }
         assert_eq!(got, samples());
+    }
+
+    #[test]
+    fn encode_frame_is_write_frame_in_an_exact_buffer() {
+        for m in samples() {
+            let mut buf = BytesMut::new();
+            write_frame(&mut buf, &m).unwrap();
+            let frame = encode_frame(&m).unwrap();
+            assert_eq!(frame, &buf[..]);
+            assert_eq!(frame.capacity(), frame.len(), "no spare capacity in {m:?}");
+        }
+    }
+
+    #[test]
+    fn drained_reader_holds_no_allocation() {
+        let mut stream = BytesMut::new();
+        for m in samples() {
+            write_frame(&mut stream, &m).unwrap();
+        }
+        let last = encode_frame(samples().last().unwrap()).unwrap().len();
+        let mut reader = FrameReader::new();
+        // A chunk ending one byte short: every whole frame comes out and
+        // only the partial one stays buffered.
+        reader.extend(&stream[..stream.len() - 1]);
+        let mut frames = 0;
+        while reader.next_frame().unwrap().is_some() {
+            frames += 1;
+        }
+        assert_eq!((frames, reader.buffered()), (samples().len() - 1, last - 1));
+        reader.extend(&stream[stream.len() - 1..]);
+        assert_eq!(reader.next_message().unwrap().as_ref(), samples().last());
+        assert_eq!((reader.buffered(), reader.buffer_capacity()), (0, 0));
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub mod resultcache;
 pub mod state;
 pub mod wire;
 
-pub use framing::{checked_frame_len, frame_is_query, write_frame, FrameReader, MAX_FRAME};
+pub use framing::{
+    checked_frame_len, encode_frame, frame_is_query, write_frame, FrameReader, MAX_FRAME,
+};
 pub use intern::{Interner, Sym};
 pub use message::{Endpoint, Message, QueryLanguage, ResponseMode, Scope, TransactionId};
 pub use querycache::{CompiledQuery, QueryCache};

@@ -55,12 +55,19 @@ const KIND_PARTIAL: u8 = 8;
 
 /// Encode a message into a frame.
 pub fn encode(message: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = BytesMut::with_capacity(encoded_len(message) as usize);
+    encode_into(&mut buf, message);
+    buf.freeze()
+}
+
+/// Append a message's encoding to `buf` ([`encoded_len`] bytes), so a
+/// framed message is written once into its final buffer.
+pub(crate) fn encode_into(buf: &mut impl BufMut, message: &Message) {
     match message {
         Message::Query { transaction, query, language, scope, response_mode } => {
             buf.put_u8(KIND_QUERY);
             buf.put_u128(transaction.0);
-            put_str(&mut buf, query);
+            put_str(buf, query);
             buf.put_u8(match language {
                 QueryLanguage::XQuery => 0,
                 QueryLanguage::Sql => 1,
@@ -83,7 +90,7 @@ pub fn encode(message: &Message) -> Bytes {
                 }
                 None => buf.put_u8(0),
             }
-            put_str(&mut buf, &scope.neighbor_policy);
+            put_str(buf, &scope.neighbor_policy);
             buf.put_u8(scope.pipeline as u8);
             buf.put_u64(scope.result_staleness_ms);
             // response mode
@@ -91,7 +98,7 @@ pub fn encode(message: &Message) -> Bytes {
                 ResponseMode::Routed => buf.put_u8(0),
                 ResponseMode::Direct { originator } => {
                     buf.put_u8(1);
-                    put_str(&mut buf, originator);
+                    put_str(buf, originator);
                 }
                 ResponseMode::Referral => buf.put_u8(2),
             }
@@ -100,9 +107,9 @@ pub fn encode(message: &Message) -> Bytes {
             buf.put_u8(KIND_RESULTS);
             buf.put_u128(transaction.0);
             buf.put_u64(*seq);
-            put_items(&mut buf, items);
+            put_items(buf, items);
             buf.put_u8(*last as u8);
-            put_str(&mut buf, origin);
+            put_str(buf, origin);
             buf.put_u8(*cached as u8);
         }
         Message::Ack { transaction, seq } => {
@@ -114,13 +121,13 @@ pub fn encode(message: &Message) -> Bytes {
             buf.put_u8(KIND_PARTIAL);
             buf.put_u128(transaction.0);
             buf.put_u64(*seq);
-            put_items(&mut buf, items);
+            put_items(buf, items);
             buf.put_u64(*lost);
         }
         Message::Invite { transaction, node, expected } => {
             buf.put_u8(KIND_INVITE);
             buf.put_u128(transaction.0);
-            put_str(&mut buf, node);
+            put_str(buf, node);
             buf.put_u64(*expected);
         }
         Message::Close { transaction } => {
@@ -130,7 +137,6 @@ pub fn encode(message: &Message) -> Bytes {
         Message::Ping => buf.put_u8(KIND_PING),
         Message::Pong => buf.put_u8(KIND_PONG),
     }
-    buf.freeze()
 }
 
 /// The encoded size without materializing the frame (simulator fast path).
@@ -245,12 +251,12 @@ pub fn decode(mut frame: &[u8]) -> Result<Message, WireError> {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_items(buf: &mut BytesMut, items: &[String]) {
+fn put_items(buf: &mut impl BufMut, items: &[String]) {
     buf.put_u32(items.len() as u32);
     for item in items {
         put_str(buf, item);

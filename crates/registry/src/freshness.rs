@@ -126,12 +126,11 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use wsda_xml::parse_fragment;
 
     fn tuple_with_content(cached_at: Time) -> Tuple {
         let mut t = Tuple::new("http://x", "service", "c", Time(0), 60_000, 0);
-        t.set_content(Arc::new(parse_fragment("<x/>").unwrap()), cached_at);
+        t.set_content(&parse_fragment("<x/>").unwrap(), cached_at);
         t
     }
 

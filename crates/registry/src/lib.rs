@@ -10,7 +10,7 @@
 //! Key pieces:
 //!
 //! * [`Tuple`] — `(content link, type, context, timestamps, TTL, cached
-//!   content)`; each tuple renders as an XML document
+//!   content)`; each tuple keeps its content inside one XML document
 //!   `<tuple link=… type=… …><content>…</content></tuple>` that queries
 //!   navigate,
 //! * [`HyperRegistry`] — publication (`publish`/`refresh`/`unpublish`),

@@ -525,7 +525,7 @@ impl WalBackend {
                 put_u64(&mut p, t.refreshed.0);
                 put_u64(&mut p, t.ttl_ms);
                 put_u64(&mut p, t.ordinal);
-                match (&t.content, t.content_cached) {
+                match (t.content(), t.content_cached) {
                     (Some(c), Some(tc)) => {
                         p.push(1);
                         put_u64(&mut p, tc.0);
@@ -711,11 +711,7 @@ pub fn open_store_at(
             }
             WalOp::SetContent { link, now, xml } => {
                 if let Ok(content) = parse_fragment(xml) {
-                    store.write_shard(store.shard_of(link)).set_content(
-                        link,
-                        Arc::new(content),
-                        *now,
-                    );
+                    store.write_shard(store.shard_of(link)).set_content(link, &content, *now);
                 }
             }
             WalOp::ClearContent { link } => {
@@ -789,11 +785,11 @@ fn decode_snapshot(bytes: &[u8]) -> Option<(Vec<Tuple>, u64, Time, u64)> {
                 let ttl_ms = get_u64(buf)?;
                 let ordinal = get_u64(buf)?;
                 let mut t = Tuple::new(&link, &type_, &context, inserted, ttl_ms, ordinal);
-                t.refreshed = refreshed;
+                t.refresh(refreshed, ttl_ms);
                 if get_u8(buf)? == 1 {
                     let tc = Time(get_u64(buf)?);
                     let xml = get_str(buf)?;
-                    t.set_content(Arc::new(parse_fragment(&xml).ok()?), tc);
+                    t.set_content(&parse_fragment(&xml).ok()?, tc);
                 }
                 tuples.push(t);
             }
@@ -903,7 +899,7 @@ mod tests {
             }
             store.install_content(
                 "http://svc3",
-                Arc::new(parse_fragment("<x><y>z</y></x>").unwrap()),
+                &parse_fragment("<x><y>z</y></x>").unwrap(),
                 Time(20),
             );
             store.remove("http://svc5");
@@ -921,7 +917,7 @@ mod tests {
         assert_eq!(store.len(), 20);
         assert!(store.contains("http://extra"));
         assert!(!store.contains("http://svc5"));
-        assert!(store.with_tuple("http://svc3", |t| t.content.is_none()).unwrap());
+        assert!(store.with_tuple("http://svc3", |t| t.content().is_none()).unwrap());
         // Ordinals continue past everything ever issued.
         store.upsert("http://new", "service", "c", Time(100), 1000);
         let new_ord = store.with_tuple("http://new", |t| t.ordinal).unwrap();

@@ -334,8 +334,8 @@ pub struct QueryOutcome {
 /// [`ShardedStore`] — N hash-sharded [`crate::TupleStore`]s behind
 /// reader-writer locks — so cache-hit queries only ever take *shared* shard
 /// locks. The pull throttle sits behind its own small mutex, provider
-/// `fetch()` calls run with **no** store lock held, and tuple rendering is
-/// interior-mutable (see [`crate::Tuple::to_xml`]). Lock order, where more
+/// `fetch()` calls run with **no** store lock held, and a tuple's document
+/// is an `Arc` clone (see [`crate::Tuple::to_xml`]). Lock order, where more
 /// than one lock is held: shard lock → providers map → (none); the throttle
 /// mutex is only ever taken alone.
 pub struct HyperRegistry {
@@ -517,7 +517,7 @@ impl HyperRegistry {
         if let Some(content) = request.content {
             // Through the index-maintaining path, so pushed content lands
             // in the shard's content postings.
-            shard.set_content(&request.link, Arc::new(content), now);
+            shard.set_content(&request.link, &content, now);
         }
         if was_new {
             RegistryStats::add(&self.stats.publishes, 1);
@@ -627,8 +627,9 @@ impl HyperRegistry {
     ///    context index for domain-only scopes (one domain test per
     ///    *distinct* context instead of a per-candidate retain scan);
     /// 2. **doc collection** shard by shard under read locks — cached
-    ///    tuples render immediately ([`crate::Tuple::to_xml`] is
-    ///    interior-mutable), tuples needing a pull are deferred;
+    ///    tuples hand out their documents immediately
+    ///    ([`crate::Tuple::to_xml`] is an `Arc` clone), tuples needing a
+    ///    pull are deferred;
     /// 3. **pulls** with *no* store lock held — throttle, fetch, then
     ///    write-lock only the owning shard to install content.
     ///
@@ -823,7 +824,7 @@ impl HyperRegistry {
                         // Install under the shard write lock (through the
                         // index-maintaining path); the tuple may have
                         // expired or vanished while the provider ran.
-                        let installed = self.store.install_content(&link, Arc::new(content), now);
+                        let installed = self.store.install_content(&link, &content, now);
                         if installed {
                             RegistryStats::add(&self.stats.mutations, 1);
                         }
@@ -991,7 +992,7 @@ impl HyperRegistry {
     /// Execute a SQL query ([`crate::sql`]) over the live tuple set. The
     /// `FROM` clause names the tuple type (index-narrowed); content is
     /// served from cache (`Freshness::any()` semantics — SQL clients are
-    /// the thesis's "simpler" consumers). Tuples render under shard read
+    /// the thesis's "simpler" consumers). Rows are taken under shard read
     /// locks; row evaluation happens with no lock held.
     pub fn query_sql(&self, query: &crate::sql::SqlQuery) -> Vec<crate::sql::SqlRow> {
         RegistryStats::add(&self.stats.queries, 1);

@@ -8,8 +8,9 @@
 //! of the content link into `shard_count` independent [`TupleStore`]s, each
 //! behind its own `RwLock`:
 //!
-//! * **queries** take only *shared* locks (rendering is interior-mutable,
-//!   see [`Tuple::to_xml`]), so cache-hit readers proceed concurrently,
+//! * **queries** take only *shared* locks (a tuple's document is an `Arc`
+//!   clone, see [`Tuple::to_xml`]), so cache-hit readers proceed
+//!   concurrently,
 //! * **publishes** write-lock exactly one shard, so a publish stalls at
 //!   most `1/shard_count` of the read traffic,
 //! * **ordinals** come from one registry-wide atomic counter, so result
@@ -198,11 +199,6 @@ impl ShardedStore {
         self.read_shard(self.shard_of(link)).get(link).map(f)
     }
 
-    /// Run `f` on the tuple for `link` under the shard's write lock.
-    pub fn with_tuple_mut<R>(&self, link: &str, f: impl FnOnce(&mut Tuple) -> R) -> Option<R> {
-        self.write_shard(self.shard_of(link)).get_mut(link).map(f)
-    }
-
     /// True when a tuple for `link` is stored (expired or not).
     pub fn contains(&self, link: &str) -> bool {
         self.read_shard(self.shard_of(link)).get(link).is_some()
@@ -210,7 +206,7 @@ impl ShardedStore {
 
     /// Install content for `link` through the index-maintaining path
     /// (write-locks only the owning shard).
-    pub fn install_content(&self, link: &str, content: Arc<Element>, now: Time) -> bool {
+    pub fn install_content(&self, link: &str, content: &Element, now: Time) -> bool {
         self.write_shard(self.shard_of(link)).set_content(link, content, now)
     }
 

@@ -103,7 +103,7 @@ impl TupleStore {
         self.by_type.entry(t.type_.clone()).or_default().insert(link.clone());
         self.by_context.entry(t.context.clone()).or_default().insert(link.clone());
         if let Some(idx) = self.content_index.as_mut() {
-            idx.index(&link, t.content.as_deref());
+            idx.index(&link, t.content());
         }
         self.by_link.insert(link.clone(), t);
         self.debug_assert_link(&link);
@@ -156,12 +156,12 @@ impl TupleStore {
             // Type/context may change across refreshes (rare but allowed).
             if t.type_ != type_ {
                 remove_index(&mut self.by_type, &t.type_, link);
-                t.type_ = type_.to_owned();
+                t.set_type(type_);
                 self.by_type.entry(type_.to_owned()).or_default().insert(link.to_owned());
             }
             if t.context != context {
                 remove_index(&mut self.by_context, &t.context, link);
-                t.context = context.to_owned();
+                t.set_context(context);
                 self.by_context.entry(context.to_owned()).or_default().insert(link.to_owned());
             }
             let new_expiry = t.expires();
@@ -188,7 +188,7 @@ impl TupleStore {
     /// consistent. Returns `false` when the link is unknown. Content must
     /// be installed through this method (not [`TupleStore::get_mut`])
     /// whenever the content index is enabled.
-    pub fn set_content(&mut self, link: &str, content: Arc<Element>, now: Time) -> bool {
+    pub fn set_content(&mut self, link: &str, content: &Element, now: Time) -> bool {
         let Some(t) = self.by_link.get_mut(link) else {
             return false;
         };
@@ -220,8 +220,7 @@ impl TupleStore {
 
     fn reindex(&mut self, link: &str) {
         if let Some(idx) = self.content_index.as_mut() {
-            let content = self.by_link.get(link).and_then(|t| t.content.clone());
-            idx.index(link, content.as_deref());
+            idx.index(link, self.by_link.get(link).and_then(Tuple::content));
         }
         self.debug_assert_link(link);
     }
@@ -250,6 +249,10 @@ impl TupleStore {
             match self.by_link.get(link) {
                 Some(t) => {
                     debug_assert!(
+                        t.doc_is_current(),
+                        "document of {link} diverges from its fields"
+                    );
+                    debug_assert!(
                         self.by_type.get(&t.type_).is_some_and(|s| s.contains(link)),
                         "by_type misses live link {link}"
                     );
@@ -265,7 +268,7 @@ impl TupleStore {
                             "content index misses live link {link}"
                         );
                         debug_assert_eq!(
-                            t.content.is_none(),
+                            t.content().is_none(),
                             contentless,
                             "content index contentless state diverges for {link}"
                         );
@@ -324,8 +327,9 @@ impl TupleStore {
     }
 
     /// Mutably borrow a tuple (content installation). The caller must not
-    /// change `refreshed`/`ttl_ms` through this path — use
-    /// [`TupleStore::upsert`] so the expiry queue stays consistent.
+    /// refresh, retag or move the tuple through this path — use
+    /// [`TupleStore::upsert`] so the expiry queue and the type and context
+    /// indices stay consistent.
     pub fn get_mut(&mut self, link: &str) -> Option<&mut Tuple> {
         self.by_link.get_mut(link)
     }
@@ -428,11 +432,6 @@ impl TupleStore {
     /// The distinct contexts currently present.
     pub fn context_count(&self) -> usize {
         self.by_context.len()
-    }
-
-    /// Iterate over all tuples (mutable, for rendering).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Tuple> {
-        self.by_link.values_mut()
     }
 
     /// Iterate over all tuples.

@@ -10,16 +10,28 @@
 //! * `TS2` — when it was last refreshed (re-published),
 //! * `TC`  — when the cached content was last obtained,
 //! * `TTL` — how long past `TS2` the tuple stays alive without refresh.
+//!
+//! The cached content lives in one place: the tuple's rendered document,
+//! the tree every query navigates. The document is built when the tuple
+//! is created and every mutator updates it in place, so handing it to a
+//! query is an `Arc` clone. A mutator copies the document only while a
+//! reader still holds the previous version, and that reader keeps a
+//! consistent snapshot.
 
 use crate::baseline::ServiceRecord;
 use crate::clock::Time;
 use std::sync::{Arc, OnceLock};
-use wsda_xml::Element;
+use wsda_xml::{Element, XmlNode};
 
 /// The primary key of a tuple: its content link.
 pub type TupleKey = String;
 
 /// One registry tuple.
+///
+/// The metadata fields are public for reading. The rendered document
+/// mirrors them, so every write goes through a method ([`Tuple::refresh`],
+/// [`Tuple::set_type`], [`Tuple::set_context`], [`Tuple::set_content`],
+/// [`Tuple::clear_content`]).
 #[derive(Debug, Clone)]
 pub struct Tuple {
     /// The content link (primary key) — an HTTP URL in the original system.
@@ -29,32 +41,29 @@ pub struct Tuple {
     pub type_: String,
     /// The context/scope attribute (e.g. owning domain) used for scoping.
     pub context: String,
-    /// Cached content, if any (`None` while content has never been pulled
-    /// or pushed).
-    pub content: Option<Arc<Element>>,
     /// First insertion time (TS1).
     pub inserted: Time,
     /// Last refresh time (TS2).
     pub refreshed: Time,
-    /// When `content` was obtained (TC).
+    /// When the cached content was obtained (TC); `None` while no content
+    /// is cached.
     pub content_cached: Option<Time>,
     /// Time-to-live past `refreshed`, in milliseconds.
     pub ttl_ms: u64,
     /// Stable ordinal assigned at first insertion — doubles as the XQuery
     /// document ordinal so query results order deterministically.
     pub ordinal: u64,
-    /// Cached XML rendering (invalidated on any mutation). Interior-mutable
-    /// so rendering works through a shared borrow: concurrent readers under
-    /// a shard read lock race to initialize it, one wins, the rest reuse
-    /// the winner's rendering. Every mutating method replaces the cell.
-    rendered: OnceLock<Arc<Element>>,
-    /// Cached flat record derived from the rendering (the SQL baseline's
-    /// row shape); same caching discipline as `rendered`.
+    /// The rendered document queries navigate (see [`Tuple::to_xml`]),
+    /// holding the only copy of the cached content.
+    doc: Arc<Element>,
+    /// Cached flat record derived from the document (the SQL baseline's
+    /// row shape). Interior-mutable so it builds through a shared borrow;
+    /// every mutator replaces the cell.
     record: OnceLock<Arc<ServiceRecord>>,
 }
 
 impl Tuple {
-    /// Create a fresh tuple.
+    /// Create a fresh tuple (no cached content).
     pub fn new(
         link: impl Into<String>,
         type_: impl Into<String>,
@@ -63,17 +72,19 @@ impl Tuple {
         ttl_ms: u64,
         ordinal: u64,
     ) -> Tuple {
+        let (link, type_, context) = (link.into(), type_.into(), context.into());
+        let doc = wrapper(&link, &type_, &context, now, now, ttl_ms, None)
+            .with_child(Element::new("content"));
         Tuple {
-            link: link.into(),
-            type_: type_.into(),
-            context: context.into(),
-            content: None,
+            link,
+            type_,
+            context,
             inserted: now,
             refreshed: now,
             content_cached: None,
             ttl_ms,
             ordinal,
-            rendered: OnceLock::new(),
+            doc: Arc::new(doc),
             record: OnceLock::new(),
         }
     }
@@ -94,65 +105,129 @@ impl Tuple {
         self.content_cached.map(|tc| now.since(tc))
     }
 
+    /// The cached content, if any (`None` while content has never been
+    /// pulled or pushed, or after [`Tuple::clear_content`]).
+    pub fn content(&self) -> Option<&Element> {
+        self.doc.child_elements().next()?.child_elements().next()
+    }
+
     /// Record a refresh (re-publication) at `now` with a possibly new TTL.
     pub fn refresh(&mut self, now: Time, ttl_ms: u64) {
         self.refreshed = now;
         self.ttl_ms = ttl_ms;
-        self.rendered = OnceLock::new();
-        self.record = OnceLock::new();
+        let doc = self.doc_mut();
+        doc.set_attr("ts2", now.millis().to_string());
+        doc.set_attr("ttl", ttl_ms.to_string());
     }
 
-    /// Install new content obtained at `now`.
-    pub fn set_content(&mut self, content: Arc<Element>, now: Time) {
-        self.content = Some(content);
+    /// Change the tuple type (a re-publication may retag the tuple).
+    pub fn set_type(&mut self, type_: &str) {
+        self.type_ = type_.to_owned();
+        self.doc_mut().set_attr("type", type_);
+    }
+
+    /// Change the context attribute (a re-publication may move the tuple).
+    pub fn set_context(&mut self, context: &str) {
+        self.context = context.to_owned();
+        self.doc_mut().set_attr("ctx", context);
+    }
+
+    /// Install new content obtained at `now`, replacing any cached
+    /// content. The tuple keeps its own copy: cloning once lays the tree
+    /// out contiguously and drops the spare capacity it was built with.
+    pub fn set_content(&mut self, content: &Element, now: Time) {
         self.content_cached = Some(now);
-        self.rendered = OnceLock::new();
-        self.record = OnceLock::new();
+        let doc = self.doc_mut();
+        doc.set_attr("tc", now.millis().to_string());
+        let slot = content_slot_mut(doc).children_mut();
+        slot.clear();
+        slot.push(XmlNode::Element(content.clone()));
     }
 
     /// Drop cached content (e.g. after repeated pull failures).
     pub fn clear_content(&mut self) {
-        self.content = None;
         self.content_cached = None;
-        self.rendered = OnceLock::new();
-        self.record = OnceLock::new();
+        let doc = self.doc_mut();
+        doc.remove_attr("tc");
+        content_slot_mut(doc).children_mut().clear();
     }
 
-    /// Render (and cache) the tuple as the XML document queries navigate:
+    /// The tuple as the XML document queries navigate:
     ///
     /// ```xml
-    /// <tuple link="…" type="…" ctx="…" ts1="…" ts2="…" tc="…" ttl="…">
+    /// <tuple link="…" type="…" ctx="…" ts1="…" ts2="…" ttl="…" tc="…">
     ///   <content>…provider content…</content>
     /// </tuple>
     /// ```
+    ///
+    /// `tc` is present only while content is cached. The document is kept
+    /// current by every mutator, so this is an `Arc` clone.
     pub fn to_xml(&self) -> Arc<Element> {
-        self.rendered
-            .get_or_init(|| {
-                let mut e = Element::new("tuple")
-                    .with_attr("link", self.link.clone())
-                    .with_attr("type", self.type_.clone())
-                    .with_attr("ctx", self.context.clone())
-                    .with_attr("ts1", self.inserted.millis().to_string())
-                    .with_attr("ts2", self.refreshed.millis().to_string())
-                    .with_attr("ttl", self.ttl_ms.to_string());
-                if let Some(tc) = self.content_cached {
-                    e.set_attr("tc", tc.millis().to_string());
-                }
-                let mut content_elem = Element::new("content");
-                if let Some(c) = &self.content {
-                    content_elem.push(Element::clone(c));
-                }
-                e.push(content_elem);
-                Arc::new(e)
-            })
-            .clone()
+        self.doc.clone()
     }
 
-    /// The flat [`ServiceRecord`] view of this tuple (cached; same
-    /// invalidation as [`Tuple::to_xml`]). The SQL baseline queries rows
-    /// of this shape, so repeated queries stop re-flattening every tuple.
+    /// The flat [`ServiceRecord`] view of this tuple (cached until the
+    /// next mutation). The SQL baseline queries rows of this shape, so
+    /// repeated queries stop re-flattening every tuple.
     pub fn to_record(&self) -> Arc<ServiceRecord> {
         self.record.get_or_init(|| Arc::new(ServiceRecord::from_tuple_xml(self.to_xml()))).clone()
+    }
+
+    /// Whether the document's attributes mirror the metadata fields (a
+    /// debug-build consistency check for the store).
+    #[cfg(debug_assertions)]
+    pub(crate) fn doc_is_current(&self) -> bool {
+        let expected = wrapper(
+            &self.link,
+            &self.type_,
+            &self.context,
+            self.inserted,
+            self.refreshed,
+            self.ttl_ms,
+            self.content_cached,
+        );
+        self.doc.attributes() == expected.attributes()
+            && self.content().is_some() == self.content_cached.is_some()
+    }
+
+    /// The document for an in-place update. Drops the cached record
+    /// first (it holds the document too), so the document is copied only
+    /// while a reader still holds the previous version.
+    fn doc_mut(&mut self) -> &mut Element {
+        self.record = OnceLock::new();
+        Arc::make_mut(&mut self.doc)
+    }
+}
+
+/// The `<tuple>` element for the given metadata, attributes in document
+/// order and no children.
+fn wrapper(
+    link: &str,
+    type_: &str,
+    context: &str,
+    inserted: Time,
+    refreshed: Time,
+    ttl_ms: u64,
+    content_cached: Option<Time>,
+) -> Element {
+    let mut e = Element::new("tuple")
+        .with_attr("link", link)
+        .with_attr("type", type_)
+        .with_attr("ctx", context)
+        .with_attr("ts1", inserted.millis().to_string())
+        .with_attr("ts2", refreshed.millis().to_string())
+        .with_attr("ttl", ttl_ms.to_string());
+    if let Some(tc) = content_cached {
+        e.set_attr("tc", tc.millis().to_string());
+    }
+    e
+}
+
+/// The `<content>` element: a tuple document's only child.
+fn content_slot_mut(doc: &mut Element) -> &mut Element {
+    match doc.children_mut().first_mut() {
+        Some(XmlNode::Element(content)) => content,
+        _ => unreachable!("tuple document holds <content>"),
     }
 }
 
@@ -186,7 +261,7 @@ mod tests {
     fn content_age() {
         let mut t = tuple();
         assert_eq!(t.content_age(Time(500)), None);
-        t.set_content(Arc::new(parse_fragment("<x/>").unwrap()), Time(200));
+        t.set_content(&parse_fragment("<x/>").unwrap(), Time(200));
         assert_eq!(t.content_age(Time(500)), Some(300));
         t.clear_content();
         assert_eq!(t.content_age(Time(500)), None);
@@ -195,10 +270,7 @@ mod tests {
     #[test]
     fn xml_rendering() {
         let mut t = tuple();
-        t.set_content(
-            Arc::new(parse_fragment("<service><owner>cms</owner></service>").unwrap()),
-            Time(150),
-        );
+        t.set_content(&parse_fragment("<service><owner>cms</owner></service>").unwrap(), Time(150));
         let xml = t.to_xml();
         assert_eq!(xml.attr("link"), Some("http://x/svc"));
         assert_eq!(xml.attr("type"), Some("service"));
@@ -228,5 +300,17 @@ mod tests {
         let xml = t.to_xml();
         assert!(xml.first_child_named("content").unwrap().children().is_empty());
         assert_eq!(xml.attr("tc"), None);
+    }
+
+    #[test]
+    fn unshared_document_updates_in_place() {
+        let mut t = tuple();
+        let before = Arc::as_ptr(&t.to_xml());
+        t.refresh(Time(500), 2000);
+        t.set_content(&parse_fragment("<x/>").unwrap(), Time(600));
+        t.set_type("monitor");
+        t.set_context("fnal.gov");
+        t.clear_content();
+        assert_eq!(Arc::as_ptr(&t.to_xml()), before, "no reader held it, so no copy");
     }
 }

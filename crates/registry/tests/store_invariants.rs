@@ -74,7 +74,7 @@ proptest! {
                 }
                 Op::SetContent { id, val } => {
                     let xml = format!("<service><load>{val}</load></service>");
-                    s.set_content(&link(*id), Arc::new(parse_fragment(&xml).unwrap()), now);
+                    s.set_content(&link(*id), &parse_fragment(&xml).unwrap(), now);
                 }
                 Op::ClearContent { id } => {
                     s.clear_content(&link(*id));
@@ -117,7 +117,7 @@ proptest! {
                 }
                 Op::SetContent { id, val } => {
                     let xml = format!("<service><load>{val}</load></service>");
-                    s.install_content(&link(*id), Arc::new(parse_fragment(&xml).unwrap()), now);
+                    s.install_content(&link(*id), &parse_fragment(&xml).unwrap(), now);
                 }
                 Op::ClearContent { id } => {
                     s.drop_content(&link(*id));

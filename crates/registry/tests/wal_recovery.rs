@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use wsda_registry::clock::Time;
 use wsda_registry::persist::{
     open_store_at, scan_records, FsyncPolicy, PersistenceConfig, RecoverNow, WalOp,
@@ -74,7 +73,7 @@ fn apply(store: &ShardedStore, now: &mut Time, op: &Op) {
         }
         Op::SetContent { id, val } => {
             let xml = format!("<service><load>{val}</load></service>");
-            store.install_content(&link(*id), Arc::new(parse_fragment(&xml).unwrap()), *now);
+            store.install_content(&link(*id), &parse_fragment(&xml).unwrap(), *now);
         }
         Op::ClearContent { id } => {
             store.drop_content(&link(*id));
@@ -108,7 +107,7 @@ fn reference_replay(wal_bytes: &[u8], sweep_at: Time) -> ShardedStore {
             }
             WalOp::SetContent { link, now, xml } => {
                 if let Ok(c) = parse_fragment(xml) {
-                    store.write_shard(store.shard_of(link)).set_content(link, Arc::new(c), *now);
+                    store.write_shard(store.shard_of(link)).set_content(link, &c, *now);
                 }
             }
             WalOp::ClearContent { link } => {
@@ -148,8 +147,7 @@ fn fingerprint(store: &ShardedStore) -> Vec<TupleFingerprint> {
                         t.refreshed.millis(),
                         t.ttl_ms,
                         t.ordinal,
-                        t.content
-                            .as_ref()
+                        t.content()
                             .map(|c| (t.content_cached.unwrap().millis(), c.to_compact_string())),
                     )
                 })

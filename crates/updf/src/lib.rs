@@ -49,7 +49,7 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ForwardDecision};
 pub use container::ContainerAssignment;
 pub use engine::{P2pConfig, QueryRun, SimNetwork};
 pub use lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
-pub use live::{client_query, client_query_on, LiveNetwork, LiveQueryReport, StandalonePeer};
+pub use live::{client_query_on, LiveNetwork, LiveQueryReport, StandalonePeer};
 pub use metrics::QueryMetrics;
 pub use node::TimeoutMode;
 pub use recovery::{Completeness, RecoveryConfig};

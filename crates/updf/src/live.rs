@@ -40,7 +40,6 @@ use crate::node::{
 };
 use crate::recovery::{completeness, Completeness, RecoveryConfig};
 use crate::topology::Topology;
-use bytes::BytesMut;
 use crossbeam::channel::RecvTimeoutError;
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -57,7 +56,7 @@ use wsda_obs::{
     trace::shared_buffer, Counter, Gauge, MetricsRegistry, QueryTrace, SharedTraceBuffer,
     TraceEvent, TraceKind,
 };
-use wsda_pdp::framing::{frame_is_query, write_frame, FrameReader};
+use wsda_pdp::framing::{frame_is_query, FrameReader};
 use wsda_pdp::{
     EdgeStream, Message, QueryLanguage, ResponseMode, ResultCache, ResultLedger, Scope, Sym,
     TransactionId,
@@ -163,6 +162,10 @@ pub struct LiveNetwork {
     handles: Vec<Option<std::thread::JoinHandle<()>>>,
     topology: Topology,
     client_id: NodeId,
+    /// The client's inbox, registered once at start: every query runs on
+    /// it, so a query costs no registration (on TCP, a listener and an
+    /// accept thread).
+    client_inbox: Inbox<Frame>,
     txn_counter: u64,
     seed: u64,
     recovery: RecoveryConfig,
@@ -319,6 +322,7 @@ impl LiveNetwork {
             traces.push(shared_buffer(TRACE_CAPACITY));
         }
         let client_id = NodeId(topology.len() as u32);
+        let client_inbox = transport.register(client_id);
         let departed = vec![false; topology.len()];
         let mut net = LiveNetwork {
             transport,
@@ -329,6 +333,7 @@ impl LiveNetwork {
             handles,
             topology,
             client_id,
+            client_inbox,
             txn_counter: 0,
             seed,
             recovery,
@@ -636,8 +641,9 @@ impl LiveNetwork {
     ) -> LiveQueryReport {
         self.txn_counter += 1;
         let txn = TransactionId::derive(self.seed ^ 0xC11E47, self.txn_counter);
-        client_query(
+        client_query_on(
             &*self.transport,
+            &self.client_inbox,
             self.client_id,
             entry,
             query_src,
@@ -649,49 +655,18 @@ impl LiveNetwork {
     }
 }
 
-/// Run one query as a detached client over any [`FrameTransport`]:
-/// register `client_id`, inject the query at `entry`, and collect routed
-/// results until the entry node's edge closes (its final frame and every
-/// frame the final counts are in) or `timeout` elapses. This is exactly the client half of
-/// [`LiveNetwork::query_with_scope`], exposed so multi-process
-/// deployments (peers in other processes, reached over
-/// [`TcpTransport`]) can drive the same protocol.
+/// Run one query as a detached client over any [`FrameTransport`], on an
+/// inbox the caller registered for `client_id`: inject the query at
+/// `entry` and collect routed results until the entry node's edge closes
+/// (its final frame and every frame the final counts are in) or `timeout`
+/// elapses. The client stays registered afterwards, so one registration
+/// serves every query: [`LiveNetwork`] keeps one inbox, and a TCP
+/// federation learns the client's listening address, and hands it to the
+/// peers in other processes, before the first query runs.
 ///
 /// With `ack_results` on, every results frame is acked and replays are
 /// suppressed by sequence number — it must match the peers' recovery
 /// setting, or retransmissions count as duplicates.
-#[allow(clippy::too_many_arguments)]
-pub fn client_query(
-    transport: &dyn FrameTransport,
-    client_id: NodeId,
-    entry: NodeId,
-    query_src: &str,
-    scope: Scope,
-    ack_results: bool,
-    txn: TransactionId,
-    timeout: Duration,
-) -> LiveQueryReport {
-    let inbox = transport.register(client_id);
-    let report = client_query_on(
-        transport,
-        &inbox,
-        client_id,
-        entry,
-        query_src,
-        scope,
-        ack_results,
-        txn,
-        timeout,
-    );
-    transport.deregister(client_id);
-    report
-}
-
-/// Like [`client_query`], but on an inbox the caller already registered —
-/// needed when the client's listening address must be known (and handed to
-/// remote processes) *before* the query runs, e.g. a TCP federation where
-/// peers route `Results` back to the client's listener. The client stays
-/// registered afterwards.
 #[allow(clippy::too_many_arguments)]
 pub fn client_query_on(
     transport: &dyn FrameTransport,
@@ -775,7 +750,7 @@ pub fn client_query_on(
 /// One peer of a federation running on an external [`FrameTransport`] —
 /// the building block for multi-process deployments, where each process
 /// hosts one (or a few) peers over [`TcpTransport`] and the client runs
-/// [`client_query`] from wherever it likes.
+/// [`client_query_on`] from wherever it likes.
 ///
 /// The peer publishes the same synthetic corpus slice [`LiveNetwork`]
 /// would give node `id` for the same `seed`, so a federation assembled
@@ -899,10 +874,8 @@ fn draw_jitter_ms(state: &Cell<u64>, max_ms: u64) -> u64 {
 }
 
 fn encode_frame(message: &Message) -> Frame {
-    let mut buf = BytesMut::new();
     // Every message here is internally generated and far below MAX_FRAME.
-    write_frame(&mut buf, message).expect("PDP frame within MAX_FRAME");
-    buf.to_vec()
+    wsda_pdp::framing::encode_frame(message).expect("PDP frame within MAX_FRAME")
 }
 
 /// The live driver's fixed protocol choices: real links have no modeled

@@ -230,6 +230,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
