@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,7 +63,7 @@ const MAGIC: [u8; 4] = *b"WSDA";
 const VERSION: u8 = 1;
 /// Handshake length: magic + version + from + to.
 const HELLO_LEN: usize = 4 + 1 + 4 + 4;
-/// How long accept/read loops sleep-poll between shutdown checks.
+/// How long an accept loop waits after a failed accept before retrying.
 const POLL: Duration = Duration::from_millis(5);
 /// Read timeout on sockets, bounding how stale a shutdown check can be.
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
@@ -157,6 +157,24 @@ struct LocalNode {
     addr: SocketAddr,
     /// Set on deregister so this node's accept loop winds down.
     closed: Arc<AtomicBool>,
+}
+
+impl LocalNode {
+    /// Stop taking frames and end the accept loop: set its flag, then
+    /// wake its blocking `accept` with a connect of our own, after which
+    /// the loop sees the flag.
+    fn close(&self, connect_timeout: Duration) {
+        self.closed.store(true, Ordering::SeqCst);
+        self.inbox.close();
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, connect_timeout);
+    }
 }
 
 /// An established outbound connection `(from, to)`.
@@ -349,7 +367,8 @@ impl Inner {
                 }
                 let inner = self.clone();
                 let writer = conn.clone();
-                self.track(std::thread::spawn(move || writer_loop(inner, from, to, writer)));
+                let name = format!("tcp-write-{}-{}", from.0, to.0);
+                self.track(spawn_named(name, move || writer_loop(inner, from, to, writer)));
                 Some(conn)
             }
             Err(_) => {
@@ -424,17 +443,17 @@ impl TcpTransport {
     /// picks a free loopback port; see [`TcpTransport::local_addr`]).
     pub fn listen_on(&self, node: NodeId, addr: SocketAddr) -> std::io::Result<Inbox<Frame>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         let inbox = Arc::new(InboxShared::new(self.inner.cfg.inbox_capacity));
         let closed = Arc::new(AtomicBool::new(false));
         let local = LocalNode { inbox: inbox.clone(), addr: bound, closed: closed.clone() };
-        if let Some(old) = self.inner.locals.lock().insert(node, local) {
-            old.closed.store(true, Ordering::Relaxed);
-            old.inbox.close();
+        let replaced = self.inner.locals.lock().insert(node, local);
+        if let Some(old) = replaced {
+            old.close(self.inner.cfg.connect_timeout);
         }
         let inner = self.inner.clone();
-        self.inner.track(std::thread::spawn(move || accept_loop(inner, listener, closed)));
+        let name = format!("tcp-accept-n{}", node.0);
+        self.inner.track(spawn_named(name, move || accept_loop(inner, node, listener, closed)));
         Ok(Inbox::from_shared(inbox))
     }
 
@@ -483,9 +502,9 @@ impl FrameTransport for TcpTransport {
     }
 
     fn deregister(&self, node: NodeId) {
-        if let Some(local) = self.inner.locals.lock().remove(&node) {
-            local.closed.store(true, Ordering::Relaxed);
-            local.inbox.close();
+        let local = self.inner.locals.lock().remove(&node);
+        if let Some(local) = local {
+            local.close(self.inner.cfg.connect_timeout);
         }
         self.inner.peers.lock().remove(&node);
     }
@@ -582,13 +601,13 @@ impl FrameTransport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         let inner = &self.inner;
-        inner.shutdown.store(true, Ordering::Relaxed);
+        inner.shutdown.store(true, Ordering::SeqCst);
         for (_, conn) in inner.conns.lock().drain() {
             conn.teardown();
         }
-        for (_, local) in inner.locals.lock().drain() {
-            local.closed.store(true, Ordering::Relaxed);
-            local.inbox.close();
+        let locals: Vec<LocalNode> = inner.locals.lock().drain().map(|(_, l)| l).collect();
+        for local in locals {
+            local.close(inner.cfg.connect_timeout);
         }
         for stream in inner.accepted.lock().drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
@@ -600,14 +619,20 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Accept loop for one listener: non-blocking accept, poll shutdown flags,
-/// spawn a reader per accepted stream.
-fn accept_loop(inner: Arc<Inner>, listener: TcpListener, closed: Arc<AtomicBool>) {
-    while !inner.shutdown.load(Ordering::Relaxed) && !closed.load(Ordering::Relaxed) {
-        match listener.accept() {
+/// Accept loop for one listener: block in `accept`, spawn a reader per
+/// accepted stream. Whoever sets `closed` or the shutdown flag wakes the
+/// loop with a connect ([`LocalNode::close`]), so it checks the flags
+/// after every accept and sleeps nowhere else.
+fn accept_loop(inner: Arc<Inner>, node: NodeId, listener: TcpListener, closed: Arc<AtomicBool>) {
+    let stopped = || inner.shutdown.load(Ordering::SeqCst) || closed.load(Ordering::SeqCst);
+    while !stopped() {
+        let accepted = listener.accept();
+        if stopped() {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 inner.counters.accepts.inc();
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let stream = Arc::new(stream);
                 {
@@ -621,12 +646,18 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener, closed: Arc<AtomicBool>
                 // within one read timeout of shutdown (Drop also slams
                 // their sockets), and tracking them in `threads` would race
                 // with Drop draining it.
-                std::thread::spawn(move || reader_loop(reader_inner, stream));
+                let name = format!("tcp-read-n{}", node.0);
+                drop(spawn_named(name, move || reader_loop(reader_inner, stream)));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
+}
+
+/// Spawn a thread under `name`, so its CPU can be told apart from outside
+/// the process (`/proc/<pid>/task/*/comm`; Linux keeps 15 bytes).
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new().name(name).spawn(f).expect("spawn a transport thread")
 }
 
 /// Read exactly `buf.len()` bytes, tolerating read timeouts, bailing on

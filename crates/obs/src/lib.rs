@@ -9,7 +9,7 @@
 //!   histograms with cheap atomic recording, a JSON snapshot and
 //!   Prometheus-style text exposition. The registry admission gate, the
 //!   query planner, the circuit breakers, the bounded inboxes and the
-//!   node-state/ledger size gauges all export through one registry, so a
+//!   node-state size gauges all export through one registry, so a
 //!   single scrape shows the whole stack.
 //! * [`trace`] — hop-level query tracing: every node appends
 //!   [`TraceEvent`]s (recv/eval/forward/results/ack/retry/abandon) to a

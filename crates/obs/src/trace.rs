@@ -76,15 +76,18 @@ impl TraceKind {
 }
 
 /// One event in a node's trace ring.
+///
+/// Node names are shared: a driver hands every event the same `Arc<str>`
+/// for a node, so recording into a full ring allocates nothing.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// The transaction this event belongs to.
     pub txn: u128,
     /// The node that recorded the event.
-    pub node: String,
+    pub node: Arc<str>,
     /// The counterpart node, where one exists (parent for `Recv`, target
     /// for `Forward`/`Results`/`Retry`, child for `Abandon`).
-    pub peer: Option<String>,
+    pub peer: Option<Arc<str>>,
     /// Event kind.
     pub kind: TraceKind,
     /// Milliseconds — virtual (simulator) or real (live overlay).
@@ -95,12 +98,12 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// A new event with no peer and no payload.
-    pub fn new(txn: u128, node: impl Into<String>, kind: TraceKind, at_ms: u64) -> TraceEvent {
+    pub fn new(txn: u128, node: impl Into<Arc<str>>, kind: TraceKind, at_ms: u64) -> TraceEvent {
         TraceEvent { txn, node: node.into(), peer: None, kind, at_ms, items: 0 }
     }
 
     /// Attach the counterpart node.
-    pub fn with_peer(mut self, peer: impl Into<String>) -> TraceEvent {
+    pub fn with_peer(mut self, peer: impl Into<Arc<str>>) -> TraceEvent {
         self.peer = Some(peer.into());
         self
     }
@@ -114,9 +117,9 @@ impl TraceEvent {
     fn to_json(&self) -> Value {
         let mut o = BTreeMap::new();
         o.insert("txn".to_owned(), Value::String(format!("{:032x}", self.txn)));
-        o.insert("node".to_owned(), Value::String(self.node.clone()));
+        o.insert("node".to_owned(), Value::String(self.node.to_string()));
         if let Some(p) = &self.peer {
-            o.insert("peer".to_owned(), Value::String(p.clone()));
+            o.insert("peer".to_owned(), Value::String(p.to_string()));
         }
         o.insert("kind".to_owned(), Value::String(self.kind.as_str().to_owned()));
         o.insert("at_ms".to_owned(), Value::Number(Number::Int(self.at_ms as i64)));
@@ -330,13 +333,14 @@ impl QueryTrace {
                 continue;
             }
             count += 1;
-            let span = spans.entry(ev.node.clone()).or_insert_with(|| Span::new(ev.node.clone()));
+            let node = ev.node.to_string();
+            let span = spans.entry(node.clone()).or_insert_with(|| Span::new(node.clone()));
             match ev.kind {
                 TraceKind::Recv => {
-                    let earliest = first_recv.get(&ev.node).map(|&t| ev.at_ms < t).unwrap_or(true);
+                    let earliest = first_recv.get(&node).map(|&t| ev.at_ms < t).unwrap_or(true);
                     if earliest {
-                        first_recv.insert(ev.node.clone(), ev.at_ms);
-                        span.parent = ev.peer.clone();
+                        first_recv.insert(node, ev.at_ms);
+                        span.parent = ev.peer.as_deref().map(str::to_owned);
                     }
                     span.recv_ms = Some(span.recv_ms.map_or(ev.at_ms, |t: u64| t.min(ev.at_ms)));
                 }
@@ -351,9 +355,9 @@ impl QueryTrace {
                     span.cache_served += 1;
                 }
                 TraceKind::Forward => {
-                    if let Some(p) = &ev.peer {
-                        if !span.forwards.contains(p) {
-                            span.forwards.push(p.clone());
+                    if let Some(p) = ev.peer.as_deref() {
+                        if !span.forwards.iter().any(|f| f == p) {
+                            span.forwards.push(p.to_owned());
                         }
                     }
                 }

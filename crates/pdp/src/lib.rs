@@ -10,9 +10,11 @@
 //!   `Invite` (direct-response rendezvous), `Close`, `Ping`/`Pong`,
 //! * [`wire`] — a compact length-prefixed binary codec over [`bytes`],
 //!   giving every experiment an honest bytes-on-the-wire measure,
-//! * [`state`] — the per-node **node state table**: transaction state with
-//!   parent/children bookkeeping, duplicate (loop) detection and static
-//!   loop timeout expiry, keyed by interned endpoint symbols,
+//! * [`state`] — the per-node **node state table**: one entry per
+//!   transaction with parent/children bookkeeping, each sender's frame
+//!   stream (replay detection and edge closing), duplicate (loop)
+//!   detection and static loop timeout expiry, keyed by interned endpoint
+//!   symbols,
 //! * [`intern`] — the `u32` symbol table ([`Sym`]/[`Interner`]) those
 //!   tables key on, shared across nodes at simulator scale,
 //! * [`querycache`] — the per-node compiled-query LRU cache: a query
@@ -38,5 +40,5 @@ pub use intern::{Interner, Sym};
 pub use message::{Endpoint, Message, QueryLanguage, ResponseMode, Scope, TransactionId};
 pub use querycache::{CompiledQuery, QueryCache};
 pub use resultcache::{query_fingerprint, ResultCache};
-pub use state::{BeginOutcome, EdgeStream, NodeStateTable, ResultLedger, TransactionState};
+pub use state::{Arrival, BeginOutcome, EdgeStream, NodeStateTable, TransactionState};
 pub use wire::{decode, encode, encoded_len, WireError};

@@ -339,6 +339,9 @@ pub struct SimNetwork {
     routing_index: Option<RoutingIndex>,
     /// All node endpoint strings in one shared buffer.
     endpoints: EndpointTable,
+    /// The same names as shared strings for trace events, so recording
+    /// allocates none; empty when tracing is off.
+    trace_names: Vec<Arc<str>>,
     /// In-flight timers; slots recycle as timers fire.
     timers: TimerSlab<SimTimer>,
     /// Churn membership: frames to (and timers at) dead nodes vanish.
@@ -482,8 +485,14 @@ impl SimNetwork {
             trace: config.trace_capacity > 0,
             client: None,
         };
+        let endpoints = EndpointTable::new(n);
+        let trace_names = match config.trace_capacity {
+            0 => Vec::new(),
+            _ => (0..n as u32).map(|i| Arc::from(endpoints.str(NodeId(i)))).collect(),
+        };
         SimNetwork {
-            endpoints: EndpointTable::new(n),
+            endpoints,
+            trace_names,
             topology,
             sim,
             arena,
@@ -981,8 +990,8 @@ impl SimNetwork {
         self.arena.traces.iter().flat_map(|t| t.for_txn(txn.0)).collect()
     }
 
-    /// Record a hop-level trace event at `node`. Endpoint strings (and the
-    /// event itself) are only allocated when tracing is enabled.
+    /// Record a hop-level trace event at `node`, under the shared names of
+    /// `node` and `peer`.
     fn trace(
         &mut self,
         node: NodeId,
@@ -995,9 +1004,10 @@ impl SimNetwork {
             return;
         }
         let at = self.sim.now().millis();
-        let mut ev = TraceEvent::new(txn.0, self.endpoints.str(node).to_owned(), kind, at);
+        let name = |n: NodeId| self.trace_names[n.0 as usize].clone();
+        let mut ev = TraceEvent::new(txn.0, name(node), kind, at);
         if let Some(p) = peer {
-            ev = ev.with_peer(self.endpoints.str(p).to_owned());
+            ev = ev.with_peer(name(p));
         }
         if let Some(count) = items {
             ev = ev.with_items(count);

@@ -24,7 +24,7 @@
 //! * **Connected** — an active overlay link; queries forward over the
 //!   sorted `connected` set.
 //! * **Departed** — observed dead; per-peer state (result-cache entries,
-//!   pending acks, ledger streams, breakers) is swept. A departed peer
+//!   pending acks, frame streams, breakers) is swept. A departed peer
 //!   that returns starts over via `Refer`/`Dial`.
 //!
 //! **Scored swapping:** each link carries [`LinkStats`] (latency EWMA,

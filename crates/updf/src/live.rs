@@ -29,9 +29,9 @@
 //! can be brought back with [`LiveNetwork::restart_from_disk`]: the old
 //! thread is joined, the registry is rebuilt from its on-disk state (with
 //! leases that lapsed during the downtime swept, not resurrected), and a
-//! fresh thread rejoins the overlay. P2P runtime state (state table,
-//! ledger, pending acks, breakers) is deliberately lost — exactly what a
-//! real process restart would lose.
+//! fresh thread rejoins the overlay. P2P runtime state (the state table
+//! with its frame streams, pending acks, breakers) is deliberately lost —
+//! exactly what a real process restart would lose.
 
 use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
@@ -41,9 +41,9 @@ use crate::node::{
 use crate::recovery::{completeness, Completeness, RecoveryConfig};
 use crate::topology::Topology;
 use crossbeam::channel::RecvTimeoutError;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,8 +58,7 @@ use wsda_obs::{
 };
 use wsda_pdp::framing::{frame_is_query, FrameReader};
 use wsda_pdp::{
-    EdgeStream, Message, QueryLanguage, ResponseMode, ResultCache, ResultLedger, Scope, Sym,
-    TransactionId,
+    Arrival, EdgeStream, Message, QueryLanguage, ResponseMode, ResultCache, Scope, TransactionId,
 };
 use wsda_registry::clock::SystemClock;
 use wsda_registry::{
@@ -379,9 +378,10 @@ impl LiveNetwork {
                 (self.seed ^ u64::from(id.0).wrapping_mul(0x9e3779b97f4a7c15)) | 1,
             ),
             trace: self.traces[i].clone(),
+            peer_names: RefCell::default(),
             gauges,
         };
-        self.handles[i] = Some(std::thread::spawn(move || peer.run(inbox)));
+        self.handles[i] = Some(peer.spawn(inbox));
     }
 
     /// Restart a (typically [`LiveNetwork::kill`]ed) peer from its durable
@@ -390,9 +390,10 @@ impl LiveNetwork {
     ///
     /// The shared wall clock keeps running while the peer is down, so the
     /// recovery replay sweeps (rather than resurrects) every lease that
-    /// lapsed during the gap. All P2P runtime state — state table, result
-    /// ledger, pending retransmissions, breakers — is lost, exactly as a
-    /// real process restart would lose it; only the registry survives.
+    /// lapsed during the gap. All P2P runtime state — the state table with
+    /// its frame streams, pending retransmissions, breakers — is lost,
+    /// exactly as a real process restart would lose it; only the registry
+    /// survives.
     ///
     /// Errors unless the network was built with
     /// [`LiveNetwork::start_durable`].
@@ -521,7 +522,7 @@ impl LiveNetwork {
         }
         self.transport.deregister(node);
         // Former neighbors sweep the leaver's per-peer state (result-cache
-        // entries, pending acks, ledger streams) on their next loop turn.
+        // entries, pending acks, frame streams) on their next loop turn.
         for &a in &conns {
             if !self.departed[a.0 as usize] {
                 lock(&self.sweeps[a.0 as usize]).push(node);
@@ -630,8 +631,9 @@ impl LiveNetwork {
 
     /// Like [`LiveNetwork::query_full`], with full control over the scope —
     /// notably `loop_timeout_ms`, which bounds how long peers retain
-    /// per-transaction state (state table, result ledger, pending
-    /// retransmissions) after a query finishes.
+    /// per-transaction state (one state-table entry per transaction, with
+    /// its frame streams, and pending retransmissions) after a query
+    /// finishes.
     pub fn query_with_scope(
         &mut self,
         entry: NodeId,
@@ -689,10 +691,9 @@ pub fn client_query_on(
     send(transport, client_id, entry, &msg);
     let mut results = Vec::new();
     let mut reader = FrameReader::new();
-    let mut ledger = ResultLedger::new();
     let mut replays: u64 = 0;
-    // The entry peer's edge, closed by the node core's rule; once closed,
-    // the subtrees its final reported lost.
+    // The entry peer's edge: the frame numbers received, closed by the
+    // node core's rule; once closed, the subtrees its final reported lost.
     let mut edge = EdgeStream::default();
     let mut closed: Option<u64> = None;
     let deadline = Instant::now() + timeout;
@@ -719,17 +720,18 @@ pub fn client_query_on(
                     if transaction != txn || envelope.from != entry {
                         continue;
                     }
+                    let arrival = edge.record(seq, last);
                     if ack_results {
                         let ack = Message::Ack { transaction, seq };
                         send(transport, client_id, envelope.from, &ack);
-                        if !ledger.record(transaction, Sym(envelope.from.0), seq) {
+                        if arrival == Arrival::Replay {
                             replays += 1;
                             continue;
                         }
                     }
                     results.extend(items);
-                    closed = edge.count(seq, last);
-                    if closed.is_some() {
+                    if let Arrival::Closed(lost) = arrival {
+                        closed = Some(lost);
                         break 'outer;
                     }
                 }
@@ -808,9 +810,10 @@ impl StandalonePeer {
             epoch: Instant::now(),
             jitter_state: Cell::new((seed ^ u64::from(id.0).wrapping_mul(0x9e3779b97f4a7c15)) | 1),
             trace: shared_buffer(TRACE_CAPACITY),
+            peer_names: RefCell::default(),
             gauges,
         };
-        let handle = std::thread::spawn(move || peer.run(inbox));
+        let handle = peer.spawn(inbox);
         StandalonePeer { registry, metrics, shutdown, handle: Some(handle) }
     }
 
@@ -924,6 +927,9 @@ struct PeerThread {
     jitter_state: Cell<u64>,
     /// This peer's bounded trace ring (read by the network handle).
     trace: SharedTraceBuffer,
+    /// Names of the peers this thread's trace events have named, built on
+    /// first sight and shared by every later event (thread-confined).
+    peer_names: RefCell<HashMap<NodeId, Arc<str>>>,
     /// Handles for [`PEER_GAUGES`], published through the network's
     /// metrics registry.
     gauges: Vec<Gauge>,
@@ -943,6 +949,16 @@ struct PeerLoop {
 }
 
 impl PeerThread {
+    /// Run this peer on a thread named after it, so its CPU can be told
+    /// apart from outside the process.
+    fn spawn(self, inbox: Inbox<Frame>) -> std::thread::JoinHandle<()> {
+        let name = format!("peer-n{}", self.id.0);
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(move || self.run(inbox))
+            .expect("spawn a peer thread")
+    }
+
     fn run(self, inbox: Inbox<Frame>) {
         let mut st = PeerLoop {
             core: NodeCore::new(ResultCache::DEFAULT_CAPACITY, ResultCache::DEFAULT_TTL_MS),
@@ -1062,9 +1078,11 @@ impl PeerThread {
         peer: Option<NodeId>,
         items: Option<u64>,
     ) {
-        let mut ev = TraceEvent::new(txn.0, self.endpoint.as_ref(), kind, self.now_ms());
+        let mut ev = TraceEvent::new(txn.0, self.endpoint.clone(), kind, self.now_ms());
         if let Some(p) = peer {
-            ev = ev.with_peer(format!("n{}", p.0));
+            let mut names = self.peer_names.borrow_mut();
+            let name = names.entry(p).or_insert_with(|| Arc::from(format!("n{}", p.0)));
+            ev = ev.with_peer(name.clone());
         }
         if let Some(n) = items {
             ev = ev.with_items(n);
@@ -1337,7 +1355,7 @@ mod tests {
             events
                 .iter()
                 .filter(|e| e.kind == TraceKind::Results && e.items == 0)
-                .filter(|e| e.node == from && e.peer.as_deref() == Some(to))
+                .filter(|e| &*e.node == from && e.peer.as_deref() == Some(to))
                 .count()
         };
         // n0 and n1 match nothing locally while a child is pending: the

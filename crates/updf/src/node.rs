@@ -2,8 +2,8 @@
 //!
 //! Everything a PDP node decides lives here, once: loop detection and
 //! prune-acks, the routed/direct/referral relay with pipelining or
-//! store-and-forward, node-abort and child-watchdog timers, the ack ledger
-//! with bounded retransmission, counted edge streams, circuit breakers, the
+//! store-and-forward, node-abort and child-watchdog timers, acks with
+//! bounded retransmission, counted edge streams, circuit breakers, the
 //! edge result cache (lookup, population and taint), `sweep_expired`
 //! retirement, the departure sweep and hop-level trace emission.
 //!
@@ -11,8 +11,8 @@
 //!
 //! * a child's edge closes only when its final frame has arrived together
 //!   with every frame the final's number counts
-//!   ([`NodeStateTable::child_frame`]); a child whose edge never closes is
-//!   lost to the watchdog, the abort timer or the deadline;
+//!   ([`NodeStateTable::frame`]); a child whose edge never closes is lost to
+//!   the watchdog, the abort timer or the deadline;
 //! * with recovery on, circuit breakers are the only neighbor-failure
 //!   rule: an open breaker sheds a forward as a lost subtree, and a
 //!   half-open probe rehabilitates the neighbor.
@@ -45,8 +45,8 @@ use crate::selection::{NeighborPolicy, RoutingIndex};
 use wsda_net::NodeId;
 use wsda_obs::TraceKind;
 use wsda_pdp::{
-    encoded_len, BeginOutcome, CompiledQuery, Message, NodeStateTable, QueryCache, QueryLanguage,
-    ResponseMode, ResultCache, ResultLedger, Scope, Sym, TransactionId,
+    encoded_len, Arrival, BeginOutcome, CompiledQuery, Message, NodeStateTable, QueryCache,
+    QueryLanguage, ResponseMode, ResultCache, Scope, Sym, TransactionId,
 };
 use wsda_registry::admission::{Admission, AdmissionContext};
 use wsda_registry::clock::Time;
@@ -257,6 +257,11 @@ fn parse_endpoint(e: &str) -> Option<NodeId> {
     e.strip_prefix('n').and_then(|s| s.parse().ok()).map(NodeId)
 }
 
+/// The node a state-table symbol names (the endpoint bijection).
+fn node_of(sym: Sym) -> NodeId {
+    NodeId(sym.0)
+}
+
 /// A reliable `Results` frame awaiting its ack.
 struct Unacked {
     message: Message,
@@ -264,13 +269,14 @@ struct Unacked {
     backoff_ms: u64,
 }
 
-/// Per-transaction state at one node. Transactions stay for the whole
-/// loop timeout (duplicate detection, late frames), so what a node needs
-/// only while it works on the query lives in `work`, which a routed or
-/// direct relay drops with its final frame; the record that stays is what
-/// late frames still read.
+/// The core's record of a transaction it accepted, kept in the
+/// transaction's state-table entry (beside its parent and edges) for the
+/// whole loop timeout (duplicate detection, late frames). What a node
+/// needs only while it works on the query lives in `work`, which a routed
+/// or direct relay drops with its final frame; the record that stays is
+/// what late frames still read. A query answered from the result cache
+/// leaves no record.
 struct Txn {
-    parent: Option<NodeId>,
     routed: bool,
     pipeline: bool,
     /// Aborted by a local timeout or a close (late child results drop).
@@ -363,15 +369,12 @@ struct Run {
 
 /// One PDP node's protocol state. An idle node owns no heap.
 pub struct NodeCore {
-    state: NodeStateTable,
-    txns: HashMap<TransactionId, Txn>,
-    /// Received-frame dedup (recovery): replays are acked but not merged.
-    ledger: ResultLedger,
+    /// One entry per transaction: parent edge, per-neighbor frame streams
+    /// (replays are acked but not merged, with recovery on) and outgoing
+    /// numbers, and the core's [`Txn`] record.
+    state: NodeStateTable<Txn>,
     /// Sent-but-unacked `Results` frames keyed by (txn, receiver, seq).
     pending_acks: HashMap<(TransactionId, NodeId, u64), Unacked>,
-    /// Next frame number on a direct or referral node's edges to receivers
-    /// other than its parent (the originator, prune-acked senders).
-    edge_seqs: HashMap<(TransactionId, NodeId), u64>,
     /// Per-neighbor circuit breakers, created by a neighbor's first
     /// send/ack failure: open breakers shed forwards, and a half-open probe
     /// answered with `Pong` rehabilitates the neighbor.
@@ -390,11 +393,8 @@ impl NodeCore {
     /// A fresh node (what a process start or restart begins with).
     pub fn new(result_cache_capacity: usize, result_cache_ttl_ms: u64) -> NodeCore {
         NodeCore {
-            state: NodeStateTable::new(),
-            txns: HashMap::new(),
-            ledger: ResultLedger::new(),
+            state: NodeStateTable::default(),
             pending_acks: HashMap::new(),
-            edge_seqs: HashMap::new(),
             breakers: HashMap::new(),
             qcache: QueryCache::default(),
             rcache: ResultCache::new(result_cache_capacity, result_cache_ttl_ms),
@@ -402,9 +402,10 @@ impl NodeCore {
         }
     }
 
-    /// Result-ledger streams held.
+    /// (Transaction, sender) frame streams held: with recovery on, what
+    /// recognizes replays.
     pub fn ledger_streams(&self) -> usize {
-        self.ledger.streams()
+        self.state.streams()
     }
 
     /// State-table entries held.
@@ -414,7 +415,7 @@ impl NodeCore {
 
     /// Per-transaction records held.
     pub fn txns(&self) -> usize {
-        self.txns.len()
+        self.state.records()
     }
 
     /// `Results` frames awaiting an ack.
@@ -434,6 +435,18 @@ impl NodeCore {
 
     fn run_mut(&mut self, txn: TransactionId) -> Option<&mut Run> {
         self.run.as_deref_mut().filter(|r| r.txn == txn)
+    }
+
+    fn txn(&self, txn: TransactionId) -> Option<&Txn> {
+        self.state.get(&txn)?.record()
+    }
+
+    fn txn_mut(&mut self, txn: TransactionId) -> Option<&mut Txn> {
+        self.state.record_mut(&txn)
+    }
+
+    fn work_mut(&mut self, txn: TransactionId) -> Option<&mut Work> {
+        self.txn_mut(txn)?.work.as_deref_mut()
     }
 
     /// Start a query here as its originator (servent model).
@@ -504,7 +517,7 @@ impl NodeCore {
     /// deadline fired before it completed.
     pub fn finish_run(&mut self, txn: TransactionId) -> (u64, bool) {
         let deadline_hit = self.run.take().filter(|r| r.txn == txn).is_some_and(|r| r.deadline_hit);
-        let lost = self.txns.get(&txn).and_then(|i| i.work.as_ref()).map_or(0, |w| w.lost);
+        let lost = self.txn(txn).and_then(|i| i.work.as_ref()).map_or(0, |w| w.lost);
         (lost, deadline_hit)
     }
 
@@ -551,7 +564,7 @@ impl NodeCore {
                 self.on_invite(env, transaction, node, expected);
             }
             Message::Close { transaction } => {
-                if let Some(info) = self.txns.get_mut(&transaction) {
+                if let Some(info) = self.txn_mut(transaction) {
                     info.aborted = true;
                     info.spoil_cache();
                     if let Some(work) = info.work.as_deref_mut() {
@@ -590,7 +603,7 @@ impl NodeCore {
     /// The evaluation an `Evaluate` action asked for, unless the
     /// transaction is gone or was aborted meanwhile.
     pub fn eval_job(&self, txn: TransactionId) -> Option<EvalJob> {
-        let info = self.txns.get(&txn).filter(|i| !i.aborted)?;
+        let info = self.txn(txn).filter(|i| !i.aborted)?;
         let work = info.work.as_ref()?;
         Some(EvalJob { query: work.query.clone(), deadline: work.deadline })
     }
@@ -599,7 +612,9 @@ impl NodeCore {
     /// answer per response mode, and finalize the node if no children are
     /// outstanding.
     pub fn on_eval_done(&mut self, env: &mut Env<'_>, txn: TransactionId, outcome: EvalOutcome) {
-        let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted) else { return };
+        let Some(state) = self.state.get_mut(&txn) else { return };
+        let parent = state.parent.map(node_of);
+        let Some(info) = state.record_mut().filter(|i| !i.aborted) else { return };
         let Some(work) = info.work.as_deref_mut() else { return };
         let m = &mut *env.metrics;
         m.nodes_evaluated += 1;
@@ -616,11 +631,11 @@ impl NodeCore {
         } else {
             work.cache_cheap_plan = outcome.plan == Some(QueryPlan::Index);
             // The originator's cache copy is fed by its deliveries.
-            if info.cache_ok && info.parent.is_some() {
+            if info.cache_ok && parent.is_some() {
                 work.cache_items.extend(items.iter().cloned());
             }
         }
-        let (mode, pipeline, parent) = (work.mode.clone(), info.pipeline, info.parent);
+        let (mode, pipeline) = (work.mode.clone(), info.pipeline);
         env.trace(TraceKind::Eval, txn, None, Some(items.len() as u64));
         let complete = self.state.local_done(&txn);
 
@@ -637,9 +652,7 @@ impl NodeCore {
             ResponseMode::Routed => {
                 if pipeline && !items.is_empty() && !complete {
                     self.send_results(env, p, txn, items, None, None, false);
-                } else if let Some(work) =
-                    self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut())
-                {
+                } else if let Some(work) = self.work_mut(txn) {
                     work.buffer.extend(items);
                 }
             }
@@ -653,8 +666,7 @@ impl NodeCore {
             ResponseMode::Referral => {
                 if !items.is_empty() {
                     let expected = items.len() as u64;
-                    if let Some(work) = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut())
-                    {
+                    if let Some(work) = self.work_mut(txn) {
                         work.buffer = items;
                     }
                     let node = env.endpoint.to_owned();
@@ -668,7 +680,7 @@ impl NodeCore {
     }
 
     /// `gone` departed: lifecycle transition plus the per-peer state sweep
-    /// — cached results folded from the peer, result streams it sent,
+    /// — cached results folded from the peer, frame streams it sent,
     /// frames awaiting its ack and breaker history all go with it. True
     /// when the peer was known and is now marked Departed.
     pub fn on_peer_departed(&mut self, peers: &mut PeerTable, gone: NodeId, now_ms: u64) -> bool {
@@ -676,7 +688,7 @@ impl NodeCore {
             return false;
         }
         self.rcache.purge_source(gone.0);
-        self.ledger.forget_sender(Sym(gone.0));
+        self.state.forget_sender(Sym(gone.0));
         self.pending_acks.retain(|(_, to, _), _| *to != gone);
         self.breakers.remove(&gone);
         true
@@ -710,14 +722,11 @@ impl NodeCore {
         mode: ResponseMode,
     ) {
         let now = Time(env.now_ms);
-        // Retire state whose static loop timeout lapsed — the state-table
-        // entry and everything else keyed by the transaction (ledger
-        // streams, txn record, pending retransmissions).
+        // Retire state whose static loop timeout lapsed: the state-table
+        // entry (frame streams, numbering, txn record) and the pending
+        // retransmissions keyed by the transaction.
         for expired in self.state.sweep_expired(now) {
-            self.ledger.forget(expired);
-            self.txns.remove(&expired);
             self.pending_acks.retain(|(t, _, _), _| *t != expired);
-            self.edge_seqs.retain(|(t, _), _| *t != expired);
         }
         let parent_sym = parent.map(|p| Sym(p.0));
         if self.state.begin(txn, parent_sym, now, scope.loop_timeout_ms) == BeginOutcome::Duplicate
@@ -729,8 +738,8 @@ impl NodeCore {
                 (Some(0), ResponseMode::Direct { originator }) => parse_endpoint(originator),
                 _ => None,
             };
-            let held = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut());
-            if let (Some(target), Some(work)) = (fetch, held.filter(|w| !w.buffer.is_empty())) {
+            let held = self.work_mut(txn).filter(|w| !w.buffer.is_empty());
+            if let (Some(target), Some(work)) = (fetch, held) {
                 let items = std::mem::take(&mut work.buffer);
                 self.send_results(env, target, txn, items, None, None, false);
                 return;
@@ -801,10 +810,9 @@ impl NodeCore {
         };
         let forwarded_scope = scope.forwarded(env.cfg.hop_cost_ms);
         let policy = NeighborPolicy::parse(&scope.neighbor_policy);
-        self.txns.insert(
-            txn,
+        self.state.set_record(
+            &txn,
             Txn {
-                parent,
                 routed: matches!(mode, ResponseMode::Routed),
                 pipeline: scope.pipeline,
                 aborted: false,
@@ -855,7 +863,7 @@ impl NodeCore {
                     env.metrics.breaker_probes += 1;
                     env.send(target, Message::Ping);
                 }
-                if let Some(info) = self.txns.get_mut(&txn) {
+                if let Some(info) = self.txn_mut(txn) {
                     info.lose(1);
                 }
                 continue;
@@ -876,7 +884,7 @@ impl NodeCore {
             env.send(target, message);
         }
         if forwarded_any {
-            if let Some(work) = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut()) {
+            if let Some(work) = self.work_mut(txn) {
                 work.cache_forwarded = true;
             }
             if env.cfg.recovery.enabled {
@@ -890,12 +898,13 @@ impl NodeCore {
     /// completed, cache-worthy subtree answer is installed in the node's
     /// result cache first, so whoever receives `last` finds it populated.
     fn finalize_node(&mut self, env: &mut Env<'_>, txn: TransactionId) {
-        let Some(info) = self.txns.get_mut(&txn) else { return };
+        let Some(state) = self.state.get_mut(&txn) else { return };
+        let parent = state.parent.map(node_of);
+        let Some(info) = state.record_mut() else { return };
         if info.finalized {
             return;
         }
         info.finalized = true;
-        let parent = info.parent;
         let Some(work) = info.work.as_deref_mut() else { return };
         let items = if info.routed {
             std::mem::take(&mut work.buffer)
@@ -983,22 +992,21 @@ impl NodeCore {
         env.send(to, message);
     }
 
-    /// The number of the next frame on `txn`'s edge to `to`. Frames to the
-    /// parent count in the state table. A routed node sends anyone else
-    /// only a prune-ack, alone on its edge and numbered 0; a direct or
-    /// referral node also sends data frames and fetch replies to the
+    /// The number of the next frame on `txn`'s edge to `to`, counted in the
+    /// transaction's state-table entry. A routed node sends anyone but its
+    /// parent only a prune-ack, alone on its edge and numbered 0; a direct
+    /// or referral node also sends data frames and fetch replies to the
     /// originator, so its other edges count per receiver.
     fn next_seq(&mut self, txn: TransactionId, to: NodeId) -> u64 {
         let Some(state) = self.state.get_mut(&txn) else { return 0 };
-        if state.parent == Some(Sym(to.0)) {
+        let to = Sym(to.0);
+        if state.parent == Some(to) {
             return state.alloc_seq();
         }
-        if self.txns.get(&txn).is_none_or(|i| i.routed) {
+        if state.record().is_none_or(|i| i.routed) {
             return 0;
         }
-        let next = self.edge_seqs.entry((txn, to)).or_insert(0);
-        *next += 1;
-        *next - 1
+        state.alloc_seq_to(to)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1013,35 +1021,38 @@ impl NodeCore {
         origin_ep: String,
         cached: bool,
     ) {
-        let from_sym = Sym(from.0);
-        if env.cfg.recovery.enabled {
+        let dedup = env.cfg.recovery.enabled;
+        if dedup {
             // Ack every arrival (fresh or replay — the sender may have
-            // missed an earlier ack), then suppress replays.
+            // missed an earlier ack); replays are suppressed below.
             env.send(from, Message::Ack { transaction: txn, seq });
-            // Only record streams for transactions this node still tracks:
-            // once the loop timeout retired one (and the ledger forgot
-            // it), a late retransmission must not re-create ledger state.
+            // Once the loop timeout retired a transaction, a late
+            // retransmission must not re-create its state.
             if self.state.get(&txn).is_none() {
                 env.metrics.late_results_dropped += items.len() as u64;
                 return;
             }
-            if !self.ledger.record(txn, from_sym, seq) {
-                env.metrics.replays_suppressed += 1;
-                return;
-            }
+        }
+        let arrival = self.state.frame(&txn, Sym(from.0), seq, last, dedup);
+        if arrival == Arrival::Replay {
+            env.metrics.replays_suppressed += 1;
+            return;
         }
         if env.cfg.lifecycle {
             // Score the link: result yield and accept-to-result latency
             // feed the swap scorer's EWMAs.
-            let accepted = self.txns.contains_key(&txn).then(|| self.state.get(&txn)).flatten();
+            let accepted = self.state.get(&txn).filter(|s| s.record().is_some());
             if let Some(at) = accepted.map(|s| s.created.millis()) {
                 let latency = env.now_ms.saturating_sub(at);
                 env.peers.note_results(from, latency, items.len() as u64);
             }
         }
         // A `Partial` adds its losses when its edge closes.
-        let ends_edge = self.state.child_frame(&txn, from_sym, seq, last);
-        if let (Some(lost @ 1..), Some(info)) = (ends_edge, self.txns.get_mut(&txn)) {
+        let ends_edge = match arrival {
+            Arrival::Closed(lost) => Some(lost),
+            Arrival::Open | Arrival::Replay => None,
+        };
+        if let (Some(lost @ 1..), Some(info)) = (ends_edge, self.txn_mut(txn)) {
             info.lose(lost);
         }
 
@@ -1052,7 +1063,7 @@ impl NodeCore {
                 if let Some(run) = self.run.as_deref_mut() {
                     run.saw_cached = true;
                 }
-            } else if let Some(work) = self.txns.get_mut(&txn).and_then(|i| i.work.as_deref_mut()) {
+            } else if let Some(work) = self.work_mut(txn) {
                 if !work.cache_sources.contains(&from.0) {
                     work.cache_sources.push(from.0);
                 }
@@ -1065,8 +1076,10 @@ impl NodeCore {
         }
 
         // Intermediate node: merge toward the parent.
-        let Some(info) = self.txns.get_mut(&txn) else { return };
-        let (pipeline, parent, aborted) = (info.pipeline, info.parent, info.aborted);
+        let Some(state) = self.state.get_mut(&txn) else { return };
+        let parent = state.parent.map(node_of);
+        let Some(info) = state.record_mut() else { return };
+        let (pipeline, aborted) = (info.pipeline, info.aborted);
         if !aborted && cached {
             // A child answered from its cache: this node's aggregate is
             // second-hand, so it must not be re-cached here, and the taint
@@ -1109,7 +1122,7 @@ impl NodeCore {
             // Fetch directly from the inviting node: a radius-0 direct query.
             env.metrics.referrals_received += 1;
             let Some(target) = parse_endpoint(&node_ep) else { return };
-            let Some(work) = self.txns.get(&txn).and_then(|i| i.work.as_ref()) else { return };
+            let Some(work) = self.txn(txn).and_then(|i| i.work.as_ref()) else { return };
             let message = Message::Query {
                 transaction: txn,
                 query: work.source.to_string(),
@@ -1118,7 +1131,12 @@ impl NodeCore {
                 response_mode: ResponseMode::Direct { originator: env.endpoint.to_owned() },
             };
             env.send(target, message);
-        } else if let Some(p) = self.txns.get(&txn).and_then(|i| i.parent) {
+        } else if let Some(p) = self
+            .state
+            .get(&txn)
+            .filter(|s| s.record().is_some())
+            .and_then(|s| s.parent.map(node_of))
+        {
             // Relay the invitation toward the originator.
             let message = Message::Invite { transaction: txn, node: node_ep, expected };
             env.metrics.bytes_relayed += encoded_len(&message);
@@ -1146,16 +1164,16 @@ impl NodeCore {
     /// the local evaluation if still running), so an originator that sees
     /// only frames knows the answer is partial.
     fn node_abort(&mut self, env: &mut Env<'_>, txn: TransactionId) {
-        let Some(state) = self.state.get(&txn).filter(|s| !s.complete()) else { return };
-        let gave_up = state.pending_children().len() as u64 + u64::from(!state.local_done);
-        let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted && !i.finalized) else {
+        let Some(state) = self.state.get_mut(&txn).filter(|s| !s.complete()) else { return };
+        let gave_up = state.pending_children().count() as u64 + u64::from(!state.local_done);
+        let parent = state.parent.map(node_of);
+        let Some(info) = state.record_mut().filter(|i| !i.aborted && !i.finalized) else {
             return;
         };
         info.aborted = true;
         info.finalized = true;
         env.metrics.node_aborts += 1;
         info.lose(gave_up);
-        let parent = info.parent;
         let (items, tainted, lost) = info.work.as_deref_mut().map_or((Vec::new(), false, 0), |w| {
             (std::mem::take(&mut w.buffer), w.cache_tainted, w.lost)
         });
@@ -1215,15 +1233,15 @@ impl NodeCore {
     fn child_watchdog(&mut self, env: &mut Env<'_>, txn: TransactionId, attempt: u32) {
         // The state table keeps children sorted, so a chaos RNG is consumed
         // in a fixed order and runs stay reproducible.
-        let pending: Vec<Sym> =
-            self.state.get(&txn).map(|s| s.pending_children().collect()).unwrap_or_default();
+        let Some(state) = self.state.get_mut(&txn) else { return };
+        let pending: Vec<Sym> = state.pending_children().collect();
         if pending.is_empty() {
             return;
         }
-        let Some(info) = self.txns.get_mut(&txn).filter(|i| !i.aborted && !i.finalized) else {
+        let parent = state.parent;
+        let Some(info) = state.record_mut().filter(|i| !i.aborted && !i.finalized) else {
             return;
         };
-        let parent = info.parent;
         let Some(work) = info.work.as_deref_mut() else { return };
         if attempt == 0 {
             if let Some(scope) = work.scope.forwarded(env.cfg.hop_cost_ms) {
@@ -1282,7 +1300,7 @@ impl NodeCore {
         if close {
             run.closed = true;
         }
-        let txn_info = self.txns.get_mut(&txn).filter(|i| i.cache_ok);
+        let txn_info = self.state.record_mut(&txn).filter(|i| i.cache_ok);
         if let Some(work) = txn_info.and_then(|i| i.work.as_deref_mut()) {
             work.cache_items.extend(items.iter().cloned());
         }
@@ -1307,7 +1325,7 @@ impl NodeCore {
         if run.closed || run.saw_cached {
             return;
         }
-        let Some(info) = self.txns.get_mut(&txn).filter(|i| i.cache_ok) else { return };
+        let Some(info) = self.state.record_mut(&txn).filter(|i| i.cache_ok) else { return };
         let Some(w) = info.work.as_deref_mut() else { return };
         // Same admission gate as the intermediate-hop population.
         if !w.cache_forwarded && w.cache_cheap_plan {
