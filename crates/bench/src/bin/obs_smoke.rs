@@ -46,7 +46,6 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "updf_peers_pending",
     "updf_peers_connected",
     "updf_peers_departed",
-    "updf_swaps_total",
     "updf_rebootstraps_total",
 ];
 

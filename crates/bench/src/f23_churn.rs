@@ -1,10 +1,9 @@
 //! F23 — Living topologies: query completeness and time-to-last-result
 //! under continuous churn, and time-to-recovery after a churn burst.
 //!
-//! The lifecycle subsystem (ROADMAP item 5) replaces static neighbor
-//! lists with per-node peer tables: scored swapping, referral-on-leave,
-//! and self-healing re-bootstrap. This experiment measures what that
-//! buys:
+//! The lifecycle subsystem replaces static neighbor lists with per-node
+//! peer tables: referral-on-leave and self-healing re-bootstrap. This
+//! experiment measures what that buys:
 //!
 //! * **Churn-rate sweep (sim):** 1–50% of nodes leave per soft-state
 //!   interval (with rejoins), and a probe query runs every interval. The
@@ -27,7 +26,7 @@ use std::time::Duration;
 use wsda_net::model::{ChurnConfig, NetworkModel};
 use wsda_net::NodeId;
 use wsda_pdp::{ResponseMode, Scope};
-use wsda_updf::{LifecycleConfig, LiveNetwork, P2pConfig, SimNetwork, Topology};
+use wsda_updf::{LiveNetwork, P2pConfig, SimNetwork, Topology};
 
 const QUERY: &str = "//service/owner";
 const TUPLES_PER_NODE: usize = 2;
@@ -42,12 +41,7 @@ fn scope() -> Scope {
 }
 
 fn config(churn: ChurnConfig) -> P2pConfig {
-    P2pConfig {
-        tuples_per_node: TUPLES_PER_NODE,
-        lifecycle: LifecycleConfig::on(),
-        churn,
-        ..P2pConfig::default()
-    }
+    P2pConfig { tuples_per_node: TUPLES_PER_NODE, lifecycle: true, churn, ..P2pConfig::default() }
 }
 
 /// One probe query from the (churn-exempt) origin: completeness is the
@@ -70,7 +64,6 @@ struct SweepRow {
     ttlr_ms: f64,
     left: usize,
     rejoined: usize,
-    swaps: u64,
     rebootstraps: u64,
 }
 
@@ -81,7 +74,7 @@ fn sweep_rate(n: usize, leave_rate: f64, intervals: usize) -> SweepRow {
     let mut ablated = SimNetwork::build(
         topo,
         NetworkModel::constant(5),
-        P2pConfig { lifecycle: LifecycleConfig::default(), ..config(churn) },
+        P2pConfig { lifecycle: false, ..config(churn) },
     );
     let (mut sum_c, mut sum_s, mut sum_t) = (0.0, 0.0, 0.0);
     let (mut left, mut rejoined) = (0, 0);
@@ -102,7 +95,6 @@ fn sweep_rate(n: usize, leave_rate: f64, intervals: usize) -> SweepRow {
         ttlr_ms: sum_t / intervals as f64,
         left,
         rejoined,
-        swaps: net.lifecycle_swaps(),
         rebootstraps: net.lifecycle_rebootstraps(),
     }
 }
@@ -178,7 +170,6 @@ pub fn run(quick: bool) -> Report {
             "ttlr ms",
             "left",
             "rejoined",
-            "swaps",
             "rebootstraps",
         ],
     );
@@ -212,7 +203,6 @@ pub fn run(quick: bool) -> Report {
                 format!("{:.0}", row.ttlr_ms),
                 row.left.to_string(),
                 row.rejoined.to_string(),
-                row.swaps.to_string(),
                 row.rebootstraps.to_string(),
             ],
             &json!({
@@ -222,7 +212,6 @@ pub fn run(quick: bool) -> Report {
                 "time_to_last_result_ms": row.ttlr_ms,
                 "left": row.left,
                 "rejoined": row.rejoined,
-                "swaps": row.swaps,
                 "rebootstraps": row.rebootstraps,
                 "nodes": n,
                 "intervals": intervals,
@@ -237,7 +226,6 @@ pub fn run(quick: bool) -> Report {
             format!("{} -> {} -> {}", fmt2(pre), fmt2(torn), fmt2(recovered)),
             "-".to_owned(),
             format!("recovered in {k}"),
-            "-".to_owned(),
             "-".to_owned(),
             "-".to_owned(),
             "-".to_owned(),
@@ -261,7 +249,6 @@ pub fn run(quick: bool) -> Report {
             format!("{} -> {}", fmt2(lpre), fmt2(lfull)),
             "-".to_owned(),
             format!("recovered in {lk}"),
-            "-".to_owned(),
             "-".to_owned(),
             "-".to_owned(),
             "-".to_owned(),
@@ -306,6 +293,31 @@ mod tests {
         let (lpre, lfull, lk) = live_burst_recovery(10);
         assert!(lk <= RECOVERY_INTERVALS);
         assert!(lfull >= RECOVERY_BAR * lpre, "rejoined live overlay lost content");
+    }
+
+    /// The quick sweep's rows, pinned: churn and healing are
+    /// deterministic per seed, so a change to the lifecycle rules shows
+    /// up here as moved counts, not only as a completeness drop.
+    #[test]
+    fn quick_sweep_rows_are_pinned() {
+        // (rate, left, rejoined, rebootstraps, static completeness)
+        let expected = [
+            (0.01, 3, 2, 1, 1.0),
+            (0.05, 9, 6, 5, 0.98200),
+            (0.10, 15, 13, 13, 0.97634),
+            (0.20, 30, 21, 26, 0.90422),
+            (0.50, 60, 44, 33, 0.73651),
+        ];
+        for (rate, left, rejoined, rebootstraps, static_completeness) in expected {
+            let row = sweep_rate(24, rate, 10);
+            assert_eq!((row.left, row.rejoined, row.rebootstraps), (left, rejoined, rebootstraps));
+            assert_eq!(row.completeness, 1.0, "healing keeps every probe whole at {rate}");
+            assert!(
+                (row.static_completeness - static_completeness).abs() < 1e-4,
+                "static completeness at {rate}: {}",
+                row.static_completeness
+            );
+        }
     }
 
     /// Sustained 10% churn with healing keeps completeness high.

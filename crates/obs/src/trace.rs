@@ -44,11 +44,8 @@ pub enum TraceKind {
     Abandon,
     /// The transaction was closed at this node.
     Close,
-    /// A scored neighbor swap (peer = the admitted neighbor; items = the
-    /// evicted neighbor's id). Lifecycle events carry txn 0 — they
-    /// belong to the overlay, not to any query.
-    Swap,
-    /// A node joined (or rejoined) the overlay.
+    /// A node joined (or rejoined) the overlay. Lifecycle events carry
+    /// txn 0 — they belong to the overlay, not to any query.
     Join,
     /// A node left the overlay (graceful leave or observed death).
     Leave,
@@ -68,7 +65,6 @@ impl TraceKind {
             TraceKind::Retry => "retry",
             TraceKind::Abandon => "abandon",
             TraceKind::Close => "close",
-            TraceKind::Swap => "swap",
             TraceKind::Join => "join",
             TraceKind::Leave => "leave",
         }
@@ -371,9 +367,9 @@ impl QueryTrace {
                 TraceKind::Ack => span.acks += 1,
                 TraceKind::Retry => span.retries += 1,
                 TraceKind::Abandon => span.abandoned += 1,
-                // Lifecycle events (swap/join/leave, recorded under txn 0)
-                // shape the overlay, not any one query tree.
-                TraceKind::Close | TraceKind::Swap | TraceKind::Join | TraceKind::Leave => {}
+                // Lifecycle events (join/leave, recorded under txn 0) shape
+                // the overlay, not any one query tree.
+                TraceKind::Close | TraceKind::Join | TraceKind::Leave => {}
             }
         }
         // Recompute hop depths by walking parent chains (cycle-safe).

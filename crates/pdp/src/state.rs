@@ -220,8 +220,6 @@ impl Link {
 pub struct TransactionState<T = ()> {
     /// Neighbor to route results toward (`None` at the originator).
     pub parent: Option<Sym>,
-    /// When this state was created.
-    pub created: Time,
     /// Next sequence number on this node's edge to its parent (each edge
     /// keeps its own sequence space).
     pub next_seq: u64,
@@ -373,7 +371,6 @@ impl<T> NodeStateTable<T> {
             transaction,
             TransactionState {
                 parent,
-                created: now,
                 next_seq: 0,
                 links: Box::default(),
                 record: None,

@@ -46,14 +46,14 @@
 //!   `Vec` for the actions it emits.
 
 use crate::arena::{AliveSet, EndpointTable, TimerSlab};
-use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
+use crate::lifecycle::{PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
 use crate::node::{
     corpus_seed, evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode,
     Timer,
 };
 use crate::recovery::{completeness, Completeness, RecoveryConfig};
-use crate::selection::{NodeKinds, RoutingIndex};
+use crate::selection::{NeighborPolicy, NodeKinds, RoutingIndex};
 use crate::topology::Topology;
 
 use std::cell::OnceCell;
@@ -128,11 +128,6 @@ pub struct P2pConfig {
     /// Lean registries for huge networks: one shard and no content index
     /// per node (4-tuple registries don't repay 16 shard maps each).
     pub scale_registries: bool,
-    /// Build the `hint:` routing index at construction. Costs one bounded
-    /// BFS per edge and per-edge kind sets — fine at experiment scale,
-    /// prohibitive at 10^5+ nodes. Without it, `hint:` policies degrade
-    /// to flooding (their documented no-index behavior).
-    pub build_routing_index: bool,
     /// Edge result caching: nodes consult (and populate) a per-node
     /// [`ResultCache`] so a repeat of a hot query is answered at hop 1
     /// from cache — suppressing the downstream flood — whenever the
@@ -144,13 +139,12 @@ pub struct P2pConfig {
     pub result_cache_capacity: usize,
     /// Hard TTL on result-cache entries, independent of query bounds.
     pub result_cache_ttl_ms: u64,
-    /// Peer lifecycle: with `enabled`, every node runs the
-    /// Identified→Pending→Connected→Departed state machine of
-    /// [`crate::lifecycle`] and forwards over its *Connected* set instead
-    /// of the static topology neighbor list. Disabled by default; a
-    /// zero-churn lifecycle-on run is bit-for-bit identical to the static
-    /// baseline (the churn-equivalence proptest enforces it).
-    pub lifecycle: LifecycleConfig,
+    /// Peer lifecycle: every node runs the state machine of
+    /// [`crate::lifecycle`], forwards over its *Connected* set instead of
+    /// the static topology neighbor list, and heals on churn ticks. Off by
+    /// default; a zero-churn lifecycle-on run is bit-for-bit identical to
+    /// the static baseline (the churn-equivalence proptest enforces it).
+    pub lifecycle: bool,
     /// Scheduled churn sampled by [`SimNetwork::churn_tick`]: per-interval
     /// leave/rejoin probabilities on the soft-state cadence. Inert (all
     /// rates zero) by default.
@@ -175,11 +169,10 @@ impl Default for P2pConfig {
             persist_root: None,
             per_node_metrics: None,
             scale_registries: false,
-            build_routing_index: true,
             result_cache: true,
             result_cache_capacity: ResultCache::DEFAULT_CAPACITY,
             result_cache_ttl_ms: ResultCache::DEFAULT_TTL_MS,
-            lifecycle: LifecycleConfig::default(),
+            lifecycle: false,
             churn: ChurnConfig::off(),
         }
     }
@@ -187,7 +180,7 @@ impl Default for P2pConfig {
 
 impl P2pConfig {
     /// The preset for 10^5–10^6-node networks: lazy lean registries, no
-    /// routing index, no tracing, aggregate-only metrics. Everything else
+    /// tracing, aggregate-only metrics. Everything else
     /// (protocol, timeouts, seeds) matches the default so results remain
     /// comparable with small-network runs.
     pub fn for_scale() -> P2pConfig {
@@ -195,7 +188,6 @@ impl P2pConfig {
             trace_capacity: 0,
             per_node_metrics: Some(false),
             scale_registries: true,
-            build_routing_index: false,
             ..P2pConfig::default()
         }
     }
@@ -299,7 +291,7 @@ const NODE_GAUGES: [&str; 5] = [
 
 /// Network-wide gauge families, maintained at every scale, in the order
 /// [`SimNetwork::metrics`] computes their values.
-const TOTAL_GAUGES: [&str; 21] = [
+const TOTAL_GAUGES: [&str; 20] = [
     "updf_ledger_streams_total",
     "updf_state_entries_total",
     "updf_txn_info_total",
@@ -319,7 +311,6 @@ const TOTAL_GAUGES: [&str; 21] = [
     "updf_peers_pending_total",
     "updf_peers_connected_total",
     "updf_peers_departed_total",
-    "updf_swaps_total",
     "updf_rebootstraps_total",
 ];
 
@@ -334,8 +325,9 @@ pub struct SimNetwork {
     core: CoreConfig,
     /// Reused buffer for the actions one core input emits.
     actions: Vec<Action>,
-    /// `None` when disabled ([`P2pConfig::build_routing_index`]);
-    /// `hint:` policies then flood.
+    /// Built by the first `hint:` query and dropped when content is
+    /// planted: one bounded BFS per edge, which a network that never
+    /// steers by hint never pays.
     routing_index: Option<RoutingIndex>,
     /// All node endpoint strings in one shared buffer.
     endpoints: EndpointTable,
@@ -454,9 +446,6 @@ impl SimNetwork {
             }
         }
         let totals = TOTAL_GAUGES.iter().map(|name| metrics.gauge(name)).collect();
-        let routing_index = config
-            .build_routing_index
-            .then(|| RoutingIndex::build(&topology, &node_kinds, config.routing_horizon));
         let arena = NodeArena {
             factory,
             registries,
@@ -464,7 +453,7 @@ impl SimNetwork {
             traces: (0..n).map(|_| TraceBuffer::new(config.trace_capacity)).collect(),
             peers: (0..n)
                 .map(|i| {
-                    if config.lifecycle.enabled {
+                    if config.lifecycle {
                         // Seed Connected exactly from the sorted underlay
                         // neighbor list: a zero-churn lifecycle run then
                         // forwards over the identical candidate sequence
@@ -481,7 +470,7 @@ impl SimNetwork {
             timeout_mode: config.timeout_mode,
             recovery: config.recovery,
             result_cache: config.result_cache,
-            lifecycle: config.lifecycle.enabled,
+            lifecycle: config.lifecycle,
             trace: config.trace_capacity > 0,
             client: None,
         };
@@ -500,7 +489,7 @@ impl SimNetwork {
             config,
             core,
             actions: Vec::new(),
-            routing_index,
+            routing_index: None,
             timers: TimerSlab::new(),
             alive: AliveSet::all_alive(n),
             churn_ticks: 0,
@@ -511,9 +500,9 @@ impl SimNetwork {
         }
     }
 
-    /// Publish an extra service of a given `kind` at `node` and refresh the
-    /// routing index (when one is built) so `hint:<kind>` policies can
-    /// steer toward it. Used by experiments that plant rare content.
+    /// Publish an extra service of a given `kind` at `node`, as experiments
+    /// that plant rare content do; the next `hint:<kind>` query rebuilds the
+    /// routing index and steers toward it.
     pub fn plant_service(
         &mut self,
         node: NodeId,
@@ -530,13 +519,7 @@ impl SimNetwork {
             )
             .expect("plant publish");
         self.node_kinds.insert(node, kind);
-        if self.routing_index.is_some() {
-            self.routing_index = Some(RoutingIndex::build(
-                &self.topology,
-                &self.node_kinds,
-                self.config.routing_horizon,
-            ));
-        }
+        self.routing_index = None;
     }
 
     /// The topology.
@@ -581,7 +564,7 @@ impl SimNetwork {
         self.arena.registries[i] = NodeRegistry::lazy();
         self.arena.cores[i] = NodeArena::fresh_core(&self.config);
         self.arena.traces[i] = TraceBuffer::new(self.config.trace_capacity);
-        self.arena.peers[i] = if self.config.lifecycle.enabled {
+        self.arena.peers[i] = if self.config.lifecycle {
             PeerTable::seeded(self.topology.neighbors(node), self.sim.now().millis())
         } else {
             PeerTable::new()
@@ -627,11 +610,6 @@ impl SimNetwork {
         self.alive.alive()
     }
 
-    /// Total scored neighbor swaps performed across all nodes.
-    pub fn lifecycle_swaps(&self) -> u64 {
-        self.arena.peers.iter().map(|p| p.swaps).sum()
-    }
-
     /// Total re-bootstraps (a node rebuilding an empty connected set)
     /// across all nodes.
     pub fn lifecycle_rebootstraps(&self) -> u64 {
@@ -648,7 +626,7 @@ impl SimNetwork {
     /// otherwise it walks the static underlay restricted to alive nodes.
     pub fn overlay_connected(&self) -> bool {
         let n = self.topology.len();
-        if !self.config.lifecycle.enabled {
+        if !self.config.lifecycle {
             let members: Vec<bool> = (0..n).map(|i| self.alive.get(NodeId(i as u32))).collect();
             return self.topology.connected_within(&members);
         }
@@ -682,7 +660,7 @@ impl SimNetwork {
             return false;
         }
         let now_ms = self.sim.now().millis();
-        if self.config.lifecycle.enabled {
+        if self.config.lifecycle {
             let conns: Vec<NodeId> = self.arena.peers[node.0 as usize].connected().to_vec();
             for &a in &conns {
                 if !self.alive.get(a) {
@@ -745,7 +723,7 @@ impl SimNetwork {
         let i = node.0 as usize;
         let now_ms = self.sim.now().millis();
         self.arena.cores[i] = NodeArena::fresh_core(&self.config);
-        if self.config.lifecycle.enabled {
+        if self.config.lifecycle {
             let mut table = PeerTable::new();
             for &nb in self.topology.neighbors(node) {
                 table.identify(nb, now_ms);
@@ -766,8 +744,8 @@ impl SimNetwork {
     /// from [`P2pConfig::churn`], run one self-healing round (each alive
     /// node detects dead Connected peers, sweeps their state, and tops its
     /// connected set back up — re-bootstrapping via the lowest-id alive
-    /// node when it knows no live peer at all), run one scored swap
-    /// round, and advance virtual time by the configured interval.
+    /// node when it knows no live peer at all), and advance virtual time
+    /// by the configured interval.
     /// Returns `(left, rejoined)`.
     pub fn churn_tick(&mut self) -> (usize, usize) {
         let tick = self.churn_ticks;
@@ -786,9 +764,8 @@ impl SimNetwork {
                 }
             }
         }
-        if self.config.lifecycle.enabled {
+        if self.config.lifecycle {
             self.heal_round();
-            self.swap_round();
         }
         self.advance_time(self.config.churn.interval_ms.max(1));
         (left, rejoined)
@@ -872,40 +849,6 @@ impl SimNetwork {
         }
     }
 
-    /// One scored neighbor-swap round: each alive node may evict its
-    /// worst-scoring Connected link for its best alive Prospect when the
-    /// hysteresis margin clears ([`PeerTable::best_swap`]). Both sides of
-    /// each link are updated. Returns the number of swaps performed.
-    pub fn swap_round(&mut self) -> usize {
-        let now_ms = self.sim.now().millis();
-        let alive = self.alive.clone();
-        let cfg = self.config.lifecycle;
-        let mut swaps = 0;
-        for i in 0..self.arena.peers.len() {
-            let node = NodeId(i as u32);
-            if !alive.get(node) {
-                continue;
-            }
-            let Some((evict, admit)) =
-                self.arena.peers[i].best_swap(now_ms, &cfg, |p| p != node && alive.get(p))
-            else {
-                continue;
-            };
-            self.arena.peers[i].swap(evict, admit, now_ms);
-            self.arena.peers[evict.0 as usize].apply(node, PeerEvent::Demote, now_ms);
-            self.arena.peers[admit.0 as usize].connect(node, now_ms);
-            self.trace(
-                node,
-                TraceKind::Swap,
-                TransactionId(0),
-                Some(admit),
-                Some(u64::from(evict.0)),
-            );
-            swaps += 1;
-        }
-        swaps
-    }
-
     /// In-flight timers (leak regression surface: fired and superseded
     /// timers must not accumulate).
     pub fn timers_live(&self) -> usize {
@@ -967,7 +910,6 @@ impl SimNetwork {
             peers(PeerState::Pending),
             peers(PeerState::Connected),
             peers(PeerState::Departed),
-            self.lifecycle_swaps(),
             self.lifecycle_rebootstraps(),
         ];
         for (gauge, value) in self.totals.iter().zip(values) {
@@ -1041,6 +983,11 @@ impl SimNetwork {
         scope: Scope,
         mode: ResponseMode,
     ) -> QueryRun {
+        if let NeighborPolicy::Hint(_) = NeighborPolicy::parse(&scope.neighbor_policy) {
+            let (topology, kinds) = (&self.topology, &self.node_kinds);
+            let horizon = self.config.routing_horizon;
+            self.routing_index.get_or_insert_with(|| RoutingIndex::build(topology, kinds, horizon));
+        }
         let txn = self.fresh_txn();
         let mut run = RunState::new(origin, txn);
         self.step(&mut run, origin, |core, env| {
@@ -1146,7 +1093,7 @@ impl SimNetwork {
             endpoint: self.endpoints.str(node),
             now_ms: self.sim.now().millis(),
             neighbors: self.topology.neighbors(node),
-            peers: &mut self.arena.peers[i],
+            peers: &self.arena.peers[i],
             routing: self.routing_index.as_ref(),
             registry: self.arena.registries[i].peek().map(|r| &**r),
             metrics: &mut run.metrics,

@@ -48,10 +48,10 @@ pub use arena::{AliveSet, EndpointTable, TimerSlab};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ForwardDecision};
 pub use container::ContainerAssignment;
 pub use engine::{P2pConfig, QueryRun, SimNetwork};
-pub use lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
+pub use lifecycle::{PeerEvent, PeerState, PeerTable};
 pub use live::{client_query_on, LiveNetwork, LiveQueryReport, StandalonePeer};
 pub use metrics::QueryMetrics;
 pub use node::TimeoutMode;
 pub use recovery::{Completeness, RecoveryConfig};
-pub use selection::{LinkStats, NeighborPolicy, NodeKinds, RoutingIndex};
+pub use selection::{NeighborPolicy, NodeKinds, RoutingIndex};
 pub use topology::Topology;

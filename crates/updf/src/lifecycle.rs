@@ -1,4 +1,4 @@
-//! Peer lifecycle & scored neighbor swapping (ROADMAP item 5).
+//! Peer lifecycle: who a node forwards to while peers come and go.
 //!
 //! Real P2P overlays are churn machines: nodes join, leave, crash and
 //! rejoin continuously, so "my neighbors" cannot be a static list. This
@@ -11,15 +11,16 @@
 //!     │                │  Dial                   ▼
 //!     │ Dial           ▼            Accept
 //!     ├──────────► Pending ────────────────► Connected
-//!     ▲                │ Timeout                 │ Demote (swap)
-//!     └────────────────┴─────────────────────────┘
+//!     ▲                │ Timeout
+//!     └────────────────┘
 //!     (any non-Departed state) ── Depart ──► Departed ── Refer/Dial ──► …
 //! ```
 //!
 //! * **Identified** — address known (bootstrap list / topology), never
 //!   contacted.
 //! * **Prospect** — recommended by a departing or third-party peer
-//!   (referral); eligible for the `Accept` fast-path and for swap-in.
+//!   (referral); eligible for the `Accept` fast-path and preferred by
+//!   [`PeerTable::rebootstrap`].
 //! * **Pending** — a dial is in flight; times out back to Identified.
 //! * **Connected** — an active overlay link; queries forward over the
 //!   sorted `connected` set.
@@ -27,19 +28,17 @@
 //!   pending acks, frame streams, breakers) is swept. A departed peer
 //!   that returns starts over via `Refer`/`Dial`.
 //!
-//! **Scored swapping:** each link carries [`LinkStats`] (latency EWMA,
-//! F11 result-yield EWMA, breaker-history failures). On a soft-state
-//! cadence a node may evict its worst Connected link for its best
-//! Prospect — but only past a hysteresis margin and a minimum dwell
-//! time, so the graph explores without thrashing.
+//! The drivers change the tables on churn: a leaving node refers its
+//! neighbors to each other, a node left with no link re-bootstraps from
+//! the peers it knows, and a rejoining node dials its topology
+//! neighbors. Nothing evicts a live Connected link.
 //!
 //! **Determinism:** entries live in a `Vec` sorted by peer id, the
-//! connected set is a sorted `Vec`, scoring ties break toward the lower
-//! peer id, and nothing here consumes RNG state or schedules timers — a
-//! lifecycle-enabled run with zero churn is bit-for-bit identical to a
-//! static-neighbor run (pinned by `tests/churn_equiv.rs`).
+//! connected set is a sorted `Vec`, and nothing here consumes RNG state
+//! or schedules timers — a lifecycle-enabled run with zero churn is
+//! bit-for-bit identical to a static-neighbor run (pinned by
+//! `tests/churn_equiv.rs`).
 
-use crate::selection::LinkStats;
 use wsda_net::NodeId;
 
 /// One peer relationship's state.
@@ -47,7 +46,7 @@ use wsda_net::NodeId;
 pub enum PeerState {
     /// Address known, never contacted.
     Identified,
-    /// Referred by another peer; swap-in candidate.
+    /// Referred by another peer; re-bootstrap prefers it.
     Prospect,
     /// Dial in flight.
     Pending,
@@ -79,20 +78,17 @@ pub enum PeerEvent {
     Accept,
     /// The dial timed out.
     Timeout,
-    /// Evicted by a scored swap.
-    Demote,
     /// Observed dead (leave, crash, watchdog).
     Depart,
 }
 
 impl PeerEvent {
     /// All events, for exhaustiveness sweeps in tests.
-    pub const ALL: [PeerEvent; 6] = [
+    pub const ALL: [PeerEvent; 5] = [
         PeerEvent::Refer,
         PeerEvent::Dial,
         PeerEvent::Accept,
         PeerEvent::Timeout,
-        PeerEvent::Demote,
         PeerEvent::Depart,
     ];
 }
@@ -108,49 +104,8 @@ pub fn transition(state: PeerState, event: PeerEvent) -> Option<PeerState> {
         (Identified | Prospect | Departed, Dial) => Some(Pending),
         (Pending | Prospect, Accept) => Some(Connected),
         (Pending, Timeout) => Some(Identified),
-        (Connected, Demote) => Some(Identified),
         (Identified | Prospect | Pending | Connected, Depart) => Some(Departed),
         _ => None,
-    }
-}
-
-/// Lifecycle tuning knobs. Default **disabled**: engines keep their
-/// static neighbor sets unless a run opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LifecycleConfig {
-    /// Run the lifecycle (dynamic connected sets) instead of static
-    /// neighbor lists.
-    pub enabled: bool,
-    /// How long a dial may sit Pending before timing out.
-    pub pending_timeout_ms: u64,
-    /// Hysteresis: a Prospect must out-score the worst Connected link by
-    /// this margin before a swap fires.
-    pub swap_margin: i64,
-    /// A Connected link younger than this is not evictable.
-    pub min_dwell_ms: u64,
-    /// Score weight per EWMA result item (see [`LinkStats::score`]).
-    pub yield_weight: i64,
-    /// Score penalty per observed failure.
-    pub failure_penalty: i64,
-}
-
-impl Default for LifecycleConfig {
-    fn default() -> Self {
-        LifecycleConfig {
-            enabled: false,
-            pending_timeout_ms: 1_000,
-            swap_margin: 50,
-            min_dwell_ms: 2_000,
-            yield_weight: 10,
-            failure_penalty: 100,
-        }
-    }
-}
-
-impl LifecycleConfig {
-    /// The default tuning with the lifecycle switched on.
-    pub fn on() -> Self {
-        LifecycleConfig { enabled: true, ..LifecycleConfig::default() }
     }
 }
 
@@ -161,9 +116,7 @@ pub struct PeerEntry {
     pub peer: NodeId,
     /// Current lifecycle state.
     pub state: PeerState,
-    /// Link-quality stats feeding the swap score.
-    pub stats: LinkStats,
-    /// When the current state was entered (pending timeouts, swap dwell).
+    /// When the current state was entered (pending timeouts).
     pub since_ms: u64,
 }
 
@@ -179,8 +132,6 @@ pub struct PeerTable {
     entries: Vec<PeerEntry>,
     /// Connected peer ids, sorted ascending — the forwarding set.
     connected: Vec<NodeId>,
-    /// Scored swaps performed.
-    pub swaps: u64,
     /// Re-bootstraps performed (connected set emptied and rebuilt).
     pub rebootstraps: u64,
 }
@@ -199,15 +150,9 @@ impl PeerTable {
         PeerTable {
             entries: neighbors
                 .iter()
-                .map(|&peer| PeerEntry {
-                    peer,
-                    state: PeerState::Connected,
-                    stats: LinkStats::default(),
-                    since_ms: now_ms,
-                })
+                .map(|&peer| PeerEntry { peer, state: PeerState::Connected, since_ms: now_ms })
                 .collect(),
             connected: neighbors.to_vec(),
-            swaps: 0,
             rebootstraps: 0,
         }
     }
@@ -234,15 +179,8 @@ impl PeerTable {
     /// Ensure `peer` is known, inserting an Identified entry if not.
     pub fn identify(&mut self, peer: NodeId, now_ms: u64) {
         if let Err(at) = self.entries.binary_search_by_key(&peer, |e| e.peer) {
-            self.entries.insert(
-                at,
-                PeerEntry {
-                    peer,
-                    state: PeerState::Identified,
-                    stats: LinkStats::default(),
-                    since_ms: now_ms,
-                },
-            );
+            self.entries
+                .insert(at, PeerEntry { peer, state: PeerState::Identified, since_ms: now_ms });
         }
     }
 
@@ -256,10 +194,6 @@ impl PeerTable {
         let was_connected = entry.state == PeerState::Connected;
         entry.state = next;
         entry.since_ms = now_ms;
-        if next == PeerState::Departed {
-            // A dead peer's history must not poison its fresh start.
-            entry.stats = LinkStats::default();
-        }
         match (was_connected, next == PeerState::Connected) {
             (false, true) => {
                 if let Err(at) = self.connected.binary_search(&peer) {
@@ -321,27 +255,6 @@ impl PeerTable {
         stale
     }
 
-    /// Record a forward toward a known peer.
-    pub fn note_forward(&mut self, peer: NodeId) {
-        if let Some(e) = self.entry_mut(peer) {
-            e.stats.note_forward();
-        }
-    }
-
-    /// Record results observed back from a known peer.
-    pub fn note_results(&mut self, peer: NodeId, latency_ms: u64, items: u64) {
-        if let Some(e) = self.entry_mut(peer) {
-            e.stats.note_results(latency_ms, items);
-        }
-    }
-
-    /// Record a failure on the link to a known peer.
-    pub fn note_failure(&mut self, peer: NodeId) {
-        if let Some(e) = self.entry_mut(peer) {
-            e.stats.note_failure();
-        }
-    }
-
     /// Peers in `state`.
     pub fn count(&self, state: PeerState) -> usize {
         self.entries.iter().filter(|e| e.state == state).count()
@@ -351,46 +264,6 @@ impl PeerTable {
     /// the `peers_identified` family exports.
     pub fn identified(&self) -> usize {
         self.count(PeerState::Identified) + self.count(PeerState::Prospect)
-    }
-
-    /// The best eviction/admission pair under `cfg`, or `None` when no
-    /// swap clears the hysteresis bar. `alive` filters Prospects whose
-    /// node is currently down. Ties break toward the lower peer id on
-    /// both sides (strict comparisons over the sorted entry order).
-    pub fn best_swap(
-        &self,
-        now_ms: u64,
-        cfg: &LifecycleConfig,
-        alive: impl Fn(NodeId) -> bool,
-    ) -> Option<(NodeId, NodeId)> {
-        let mut worst: Option<(i64, NodeId)> = None;
-        let mut best: Option<(i64, NodeId)> = None;
-        for e in &self.entries {
-            let score = e.stats.score(cfg.yield_weight, cfg.failure_penalty);
-            match e.state {
-                PeerState::Connected => {
-                    if now_ms.saturating_sub(e.since_ms) < cfg.min_dwell_ms {
-                        continue;
-                    }
-                    if worst.is_none_or(|(s, _)| score < s) {
-                        worst = Some((score, e.peer));
-                    }
-                }
-                PeerState::Prospect if alive(e.peer) && best.is_none_or(|(s, _)| score > s) => {
-                    best = Some((score, e.peer));
-                }
-                _ => {}
-            }
-        }
-        let ((worst_score, evict), (best_score, admit)) = (worst?, best?);
-        (best_score > worst_score + cfg.swap_margin).then_some((evict, admit))
-    }
-
-    /// Perform a swap decided by [`PeerTable::best_swap`].
-    pub fn swap(&mut self, evict: NodeId, admit: NodeId, now_ms: u64) {
-        self.apply(evict, PeerEvent::Demote, now_ms);
-        self.apply(admit, PeerEvent::Accept, now_ms);
-        self.swaps += 1;
     }
 
     /// Self-healing: with an empty connected set, promote known alive
@@ -455,7 +328,6 @@ mod tests {
         assert_eq!(transition(Identified, Dial), Some(Pending));
         assert_eq!(transition(Pending, Accept), Some(Connected));
         assert_eq!(transition(Pending, Timeout), Some(Identified));
-        assert_eq!(transition(Connected, Demote), Some(Identified));
         for s in [Identified, Prospect, Pending, Connected] {
             assert_eq!(transition(s, Depart), Some(Departed), "{s:?} can die");
         }
@@ -473,7 +345,7 @@ mod tests {
         assert_eq!(t.connected(), &neighbors);
         assert_eq!(t.count(PeerState::Connected), 3);
         assert_eq!(t.identified(), 0);
-        assert_eq!((t.swaps, t.rebootstraps), (0, 0));
+        assert_eq!(t.rebootstraps, 0);
     }
 
     #[test]
@@ -490,12 +362,18 @@ mod tests {
     }
 
     #[test]
-    fn departure_resets_stats() {
-        let mut t = PeerTable::seeded(&[n(1)], 0);
-        t.note_failure(n(1));
-        t.note_results(n(1), 50, 2);
-        t.depart(n(1), 10);
-        assert_eq!(t.entry(n(1)).unwrap().stats, LinkStats::default());
+    fn departed_peers_come_back_through_refer_or_dial() {
+        let mut t = PeerTable::seeded(&[n(1), n(2)], 0);
+        assert!(t.depart(n(1), 10));
+        assert!(t.depart(n(2), 10));
+        assert!(t.connected().is_empty());
+        t.refer(n(1), 20);
+        assert_eq!(t.entry(n(1)).unwrap().state, PeerState::Prospect, "a referral revives it");
+        // Nobody referred n2: connect() dials it (Departed → Pending → Connected).
+        assert!(t.connect(n(2), 30));
+        assert_eq!(t.entry(n(2)).unwrap().state, PeerState::Connected);
+        assert_eq!(t.connected(), &[n(2)]);
+        assert_eq!(t.count(PeerState::Departed), 0);
     }
 
     #[test]
@@ -506,39 +384,6 @@ mod tests {
         assert!(t.tick_pending(500, 1_000).is_empty(), "not stale yet");
         assert_eq!(t.tick_pending(1_100, 1_000), vec![n(3)]);
         assert_eq!(t.entry(n(3)).unwrap().state, PeerState::Identified);
-    }
-
-    #[test]
-    fn swap_needs_margin_and_dwell() {
-        let cfg = LifecycleConfig::on();
-        let mut t = PeerTable::seeded(&[n(1), n(2)], 0);
-        t.refer(n(7), 0);
-        // All scores zero: no swap clears the margin.
-        assert_eq!(t.best_swap(10_000, &cfg, |_| true), None);
-        // Make n(2) demonstrably bad.
-        t.note_failure(n(2));
-        // Dwell guard: too young to evict.
-        assert_eq!(t.best_swap(100, &cfg, |_| true), None);
-        // Past dwell, the prospect (score 0) beats n(2) (-100) by > margin.
-        assert_eq!(t.best_swap(10_000, &cfg, |_| true), Some((n(2), n(7))));
-        // A dead prospect is not admissible.
-        assert_eq!(t.best_swap(10_000, &cfg, |p| p != n(7)), None);
-        t.swap(n(2), n(7), 10_000);
-        assert_eq!(t.connected(), &[n(1), n(7)]);
-        assert_eq!(t.entry(n(2)).unwrap().state, PeerState::Identified);
-        assert_eq!(t.swaps, 1);
-    }
-
-    #[test]
-    fn swap_ties_break_low_id() {
-        let cfg = LifecycleConfig { min_dwell_ms: 0, swap_margin: 0, ..LifecycleConfig::on() };
-        let mut t = PeerTable::seeded(&[n(4), n(8)], 0);
-        t.note_failure(n(4));
-        t.note_failure(n(8));
-        t.refer(n(2), 0);
-        t.refer(n(6), 0);
-        // Both connected score -100, both prospects score 0: lowest ids win.
-        assert_eq!(t.best_swap(1, &cfg, |_| true), Some((n(4), n(2))));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! with its frame streams, pending acks, breakers) is deliberately lost —
 //! exactly what a real process restart would lose.
 
-use crate::lifecycle::{LifecycleConfig, PeerEvent, PeerState, PeerTable};
+use crate::lifecycle::{PeerState, PeerTable};
 use crate::metrics::QueryMetrics;
 use crate::node::{
     evaluate_locally, publish_corpus, Action, CoreConfig, Env, NodeCore, TimeoutMode, Timer,
@@ -91,7 +91,7 @@ pub struct LiveQueryReport {
 
 /// Network-wide protocol counters, registered with the metrics registry
 /// under their family names. Peer threads move each input's counts in;
-/// the control plane counts swaps and re-bootstraps.
+/// the control plane counts re-bootstraps.
 #[derive(Clone)]
 struct Counters {
     breaker_sheds: Counter,
@@ -99,7 +99,6 @@ struct Counters {
     breaker_probes: Counter,
     result_cache_hits: Counter,
     result_cache_insertions: Counter,
-    swaps: Counter,
     rebootstraps: Counter,
 }
 
@@ -111,7 +110,6 @@ impl Counters {
             breaker_probes: metrics.counter("updf_breaker_probes_total"),
             result_cache_hits: metrics.counter("updf_result_cache_hits_total"),
             result_cache_insertions: metrics.counter("updf_result_cache_insertions_total"),
-            swaps: metrics.counter("updf_swaps_total"),
             rebootstraps: metrics.counter("updf_rebootstraps_total"),
         }
     }
@@ -188,8 +186,6 @@ pub struct LiveNetwork {
     sweeps: Vec<Arc<Mutex<Vec<NodeId>>>>,
     /// Peers that gracefully left (until they [`LiveNetwork::join`] back).
     departed: Vec<bool>,
-    /// Swap scoring knobs (live defaults; always enabled here).
-    lifecycle: LifecycleConfig,
 }
 
 impl LiveNetwork {
@@ -345,7 +341,6 @@ impl LiveNetwork {
             peer_tables,
             sweeps,
             departed,
-            lifecycle: LifecycleConfig::on(),
         };
         for i in 0..net.topology.len() {
             net.spawn_peer(i);
@@ -477,17 +472,6 @@ impl LiveNetwork {
         }
     }
 
-    /// A peer's current Connected set (sorted).
-    pub fn connected_peers(&self, node: NodeId) -> Vec<NodeId> {
-        lock(&self.peer_tables[node.0 as usize]).connected().to_vec()
-    }
-
-    /// Whether `node` is currently a member of the overlay (has not
-    /// gracefully [`LiveNetwork::leave`]d).
-    pub fn is_member(&self, node: NodeId) -> bool {
-        !self.departed[node.0 as usize]
-    }
-
     /// Members currently in the overlay.
     pub fn member_count(&self) -> usize {
         self.departed.iter().filter(|&&d| !d).count()
@@ -528,7 +512,7 @@ impl LiveNetwork {
                 lock(&self.sweeps[a.0 as usize]).push(node);
             }
         }
-        self.record_lifecycle(node, TraceKind::Leave, None, conns.len() as u64);
+        self.record_lifecycle(node, TraceKind::Leave, conns.len() as u64);
         true
     }
 
@@ -562,45 +546,14 @@ impl LiveNetwork {
         self.peer_dead[i] = Arc::new(AtomicBool::new(false));
         self.peer_exit[i] = Arc::new(AtomicBool::new(false));
         self.spawn_peer(i);
-        self.record_lifecycle(node, TraceKind::Join, None, admitted);
+        self.record_lifecycle(node, TraceKind::Join, admitted);
         true
     }
 
-    /// One scored neighbor-swap round across every member: each peer may
-    /// evict its worst-scoring Connected neighbor for its best Prospect
-    /// (hysteresis via the configured swap margin and minimum dwell).
-    /// Peers keep serving queries; tables are locked one at a time.
-    pub fn swap_round(&mut self) -> usize {
-        let now_ms = self.epoch.elapsed().as_millis() as u64;
-        let cfg = self.lifecycle;
-        let mut applied = 0;
-        for i in 0..self.topology.len() {
-            if self.departed[i] {
-                continue;
-            }
-            let node = NodeId(i as u32);
-            let decision = {
-                let t = lock(&self.peer_tables[i]);
-                t.best_swap(now_ms, &cfg, |p| p != node && !self.departed[p.0 as usize])
-            };
-            let Some((evict, admit)) = decision else { continue };
-            lock(&self.peer_tables[i]).swap(evict, admit, now_ms);
-            lock(&self.peer_tables[evict.0 as usize]).apply(node, PeerEvent::Demote, now_ms);
-            lock(&self.peer_tables[admit.0 as usize]).connect(node, now_ms);
-            self.counters.swaps.inc();
-            self.record_lifecycle(node, TraceKind::Swap, Some(admit), u64::from(evict.0));
-            applied += 1;
-        }
-        applied
-    }
-
     /// Record a control-plane lifecycle event (txn 0) into `node`'s ring.
-    fn record_lifecycle(&self, node: NodeId, kind: TraceKind, peer: Option<NodeId>, items: u64) {
+    fn record_lifecycle(&self, node: NodeId, kind: TraceKind, items: u64) {
         let at = self.epoch.elapsed().as_millis() as u64;
-        let mut ev = TraceEvent::new(0, format!("n{}", node.0), kind, at).with_items(items);
-        if let Some(p) = peer {
-            ev = ev.with_peer(format!("n{}", p.0));
-        }
+        let ev = TraceEvent::new(0, format!("n{}", node.0), kind, at).with_items(items);
         lock(&self.traces[node.0 as usize]).record(ev);
     }
 
@@ -906,7 +859,7 @@ struct PeerThread {
     endpoint: Arc<str>,
     cfg: CoreConfig,
     /// This peer's lifecycle table: the Connected set it forwards over.
-    /// Shared with the control plane (swap rounds, leave referrals).
+    /// Shared with the control plane (leave referrals, join links).
     peers: Arc<Mutex<PeerTable>>,
     /// Departure queue: overlay peers the control plane marked gone, to be
     /// drained and swept by this thread.
@@ -1028,14 +981,14 @@ impl PeerThread {
 
     fn call(&self, st: &mut PeerLoop, input: impl FnOnce(&mut NodeCore, &mut Env<'_>)) {
         {
-            let mut peers = lock(&self.peers);
+            let peers = lock(&self.peers);
             let mut env = Env {
                 cfg: &self.cfg,
                 node: self.id,
                 endpoint: &self.endpoint,
                 now_ms: self.now_ms(),
                 neighbors: &[],
-                peers: &mut peers,
+                peers: &peers,
                 routing: None,
                 registry: Some(&self.registry),
                 metrics: &mut st.metrics,

@@ -75,7 +75,7 @@ pub struct CoreConfig {
     /// Consult and populate the edge result cache.
     pub result_cache: bool,
     /// Forward over the peer table's Connected set instead of the static
-    /// neighbor list, and feed it link scores.
+    /// neighbor list.
     pub lifecycle: bool,
     /// Emit `Trace` actions.
     pub trace: bool,
@@ -128,8 +128,8 @@ pub struct Env<'a> {
     pub now_ms: u64,
     /// Static neighbor list (used when the lifecycle is off).
     pub neighbors: &'a [NodeId],
-    /// This node's peer lifecycle table.
-    pub peers: &'a mut PeerTable,
+    /// This node's peer lifecycle table (used when the lifecycle is on).
+    pub peers: &'a PeerTable,
     /// Routing index behind `hint:` policies (`None` floods).
     pub routing: Option<&'a RoutingIndex>,
     /// The local registry, read only for its mutation epoch and only when
@@ -869,9 +869,6 @@ impl NodeCore {
                 continue;
             }
             forwarded_any = true;
-            if env.cfg.lifecycle {
-                env.peers.note_forward(target);
-            }
             self.state.add_child(&txn, Sym(target.0));
             env.trace(TraceKind::Forward, txn, Some(target), None);
             let message = Message::Query {
@@ -1037,15 +1034,6 @@ impl NodeCore {
         if arrival == Arrival::Replay {
             env.metrics.replays_suppressed += 1;
             return;
-        }
-        if env.cfg.lifecycle {
-            // Score the link: result yield and accept-to-result latency
-            // feed the swap scorer's EWMAs.
-            let accepted = self.state.get(&txn).filter(|s| s.record().is_some());
-            if let Some(at) = accepted.map(|s| s.created.millis()) {
-                let latency = env.now_ms.saturating_sub(at);
-                env.peers.note_results(from, latency, items.len() as u64);
-            }
         }
         // A `Partial` adds its losses when its edge closes.
         let ends_edge = match arrival {
@@ -1213,9 +1201,6 @@ impl NodeCore {
         }
         let Some((message, backoff)) = step else {
             self.pending_acks.remove(&(txn, to, seq));
-            if env.cfg.lifecycle {
-                env.peers.note_failure(to);
-            }
             env.metrics.acks_timed_out += 1;
             return;
         };
@@ -1269,9 +1254,6 @@ impl NodeCore {
             env.trace(TraceKind::Abandon, txn, Some(child), None);
             if self.breaker_failure(env.cfg, child, env.now_ms) {
                 env.metrics.breaker_opens += 1;
-            }
-            if env.cfg.lifecycle {
-                env.peers.note_failure(child);
             }
             self.state.child_done(&txn, child_sym);
         }

@@ -156,60 +156,6 @@ impl NeighborPolicy {
     }
 }
 
-/// Observed quality of one overlay link, the selection signal behind
-/// scored neighbor swapping (see [`crate::lifecycle`]): the F11
-/// result-yield idea applied to *link retention* rather than per-query
-/// forwarding. Integer EWMAs (`new = (3·old + sample) / 4`) keep the
-/// update allocation-free and bit-for-bit deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// EWMA of observed result latency over this link, in ms.
-    pub latency_ewma_ms: u64,
-    /// EWMA of result items delivered back per transaction.
-    pub yield_ewma: u64,
-    /// Queries forwarded over the link.
-    pub forwards: u64,
-    /// Result deliveries observed back.
-    pub results: u64,
-    /// Failures observed (retry exhaustion, watchdog death, breaker
-    /// opens) — the PR 4 breaker history folded into one count.
-    pub failures: u64,
-}
-
-impl LinkStats {
-    /// Record a query forwarded over the link.
-    pub fn note_forward(&mut self) {
-        self.forwards += 1;
-    }
-
-    /// Record results delivered back: `latency_ms` since the forward,
-    /// `items` result items in the delivery.
-    pub fn note_results(&mut self, latency_ms: u64, items: u64) {
-        self.results += 1;
-        if self.results == 1 {
-            self.latency_ewma_ms = latency_ms;
-            self.yield_ewma = items;
-        } else {
-            self.latency_ewma_ms = (3 * self.latency_ewma_ms + latency_ms) / 4;
-            self.yield_ewma = (3 * self.yield_ewma + items) / 4;
-        }
-    }
-
-    /// Record a failure on the link.
-    pub fn note_failure(&mut self) {
-        self.failures += 1;
-    }
-
-    /// Swap score: higher is a better link. Yield earns, latency and
-    /// failures cost; an untried link scores zero, so exploration beats
-    /// a demonstrably failing neighbor but not a productive one.
-    pub fn score(&self, yield_weight: i64, failure_penalty: i64) -> i64 {
-        self.yield_ewma as i64 * yield_weight
-            - self.latency_ewma_ms as i64
-            - self.failures as i64 * failure_penalty
-    }
-}
-
 /// A routing index: for each (node, neighbor) edge, the set of content
 /// kinds reachable through that neighbor within `horizon` hops without
 /// passing back through the node — the summary structure of Crespo &
@@ -350,22 +296,6 @@ mod tests {
         // Without an index, hint degrades to flooding.
         let blind = p.select(&[NodeId(0), NodeId(2)], NodeId(1), txn(1), None);
         assert_eq!(blind.len(), 2);
-    }
-
-    #[test]
-    fn link_stats_score_and_ewma() {
-        let mut s = LinkStats::default();
-        assert_eq!(s.score(10, 100), 0, "untried link scores zero");
-        s.note_forward();
-        s.note_results(20, 4);
-        assert_eq!((s.latency_ewma_ms, s.yield_ewma), (20, 4), "first sample seeds the EWMA");
-        s.note_results(100, 0);
-        assert_eq!(s.latency_ewma_ms, (3 * 20 + 100) / 4);
-        assert_eq!(s.yield_ewma, 3);
-        let productive = s.score(10, 100);
-        s.note_failure();
-        assert_eq!(s.score(10, 100), productive - 100, "failures cost the penalty");
-        assert!(LinkStats { failures: 1, ..LinkStats::default() }.score(10, 100) < 0);
     }
 
     #[test]

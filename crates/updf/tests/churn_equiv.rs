@@ -23,8 +23,7 @@ use wsda_net::NodeId;
 use wsda_pdp::{ResponseMode, Scope};
 use wsda_updf::lifecycle::transition;
 use wsda_updf::{
-    LifecycleConfig, P2pConfig, PeerEvent, PeerState, PeerTable, QueryRun, RecoveryConfig,
-    SimNetwork, Topology,
+    P2pConfig, PeerEvent, PeerState, PeerTable, QueryRun, RecoveryConfig, SimNetwork, Topology,
 };
 
 const QUERY: &str = "//service/owner";
@@ -45,7 +44,6 @@ fn transition_table_is_exhaustive_and_matches_spec() {
                 (Identified | Prospect | Departed, Dial) => Some(Pending),
                 (Pending | Prospect, Accept) => Some(Connected),
                 (Pending, Timeout) => Some(Identified),
-                (Connected, Demote) => Some(Identified),
                 (Identified | Prospect | Pending | Connected, Depart) => Some(Departed),
                 _ => None,
             };
@@ -136,7 +134,7 @@ fn config(lifecycle: bool, recovery: bool) -> P2pConfig {
         tuples_per_node: 1,
         eval_delay_ms: 1,
         hop_cost_ms: 0,
-        lifecycle: if lifecycle { LifecycleConfig::on() } else { LifecycleConfig::default() },
+        lifecycle,
         recovery: if recovery { RecoveryConfig::on() } else { RecoveryConfig::default() },
         ..P2pConfig::default()
     }
@@ -236,7 +234,7 @@ fn churn_config() -> P2pConfig {
         tuples_per_node: 2,
         eval_delay_ms: 1,
         hop_cost_ms: 0,
-        lifecycle: LifecycleConfig::on(),
+        lifecycle: true,
         recovery: RecoveryConfig::on(),
         ..P2pConfig::default()
     }
@@ -316,6 +314,56 @@ fn graceful_leave_refers_neighbors_and_sweeps_state() {
         net.metrics().family_sum("updf_result_cache_entries_total") < entries_before,
         "no cache entry was purged on departure"
     );
+}
+
+/// A node that rejoins after every underlay contact has left knows no
+/// live peer, so it stays isolated until the next healing round, which
+/// re-enters it through the lowest-id alive node (bootstrap server).
+#[test]
+fn isolated_rejoiner_re_enters_through_the_lowest_id_alive_node() {
+    // Line 0-1-2-3: n1 leaves (referring n0 and n2 to each other), then
+    // n0 leaves and comes back knowing only its underlay contact n1.
+    let mut net = SimNetwork::build(Topology::line(4), NetworkModel::constant(5), churn_config());
+    assert!(net.depart_node(NodeId(1)));
+    assert!(net.depart_node(NodeId(0)));
+    assert!(net.rejoin_node(NodeId(0)));
+    assert!(net.connected_peers(NodeId(0)).is_empty(), "n0's only contact is gone");
+    assert!(!net.overlay_connected());
+    assert_eq!(net.lifecycle_rebootstraps(), 0);
+
+    net.churn_tick();
+    assert_eq!(net.connected_peers(NodeId(0)), &[NodeId(2)], "n2 is the lowest-id alive node");
+    assert_eq!(net.connected_peers(NodeId(2)), &[NodeId(0), NodeId(3)], "the link is two-sided");
+    assert_eq!(net.lifecycle_rebootstraps(), 1);
+    assert!(net.overlay_connected());
+    let run = net.run_query(NodeId(0), QUERY, scope(None), ResponseMode::Routed);
+    assert_eq!(run.results.len(), 2 * net.alive_count());
+}
+
+/// A node below its underlay degree whose peer table holds no live
+/// Identified or Prospect peer links to the lowest-id alive node it is
+/// not yet connected to, so torn segments re-join the overlay.
+#[test]
+fn underfilled_node_without_live_candidates_links_to_the_lowest_id_stranger() {
+    // Line 0-1-2-3: n3 and n2 leave, then n3 comes back with its only
+    // contact n2 gone. n1 (degree 2, one link left, n2 departed) heals
+    // before n3 does, so n1's underfilled fallback is what reaches n3.
+    let mut net = SimNetwork::build(Topology::line(4), NetworkModel::constant(5), churn_config());
+    assert!(net.depart_node(NodeId(3)));
+    assert!(net.depart_node(NodeId(2)));
+    assert!(net.rejoin_node(NodeId(3)));
+    assert_eq!(net.connected_peers(NodeId(1)), &[NodeId(0)]);
+    assert!(net.connected_peers(NodeId(3)).is_empty());
+    assert!(!net.overlay_connected());
+
+    net.churn_tick();
+    assert_eq!(net.connected_peers(NodeId(1)), &[NodeId(0), NodeId(3)], "n0 is already linked");
+    assert_eq!(net.connected_peers(NodeId(3)), &[NodeId(1)], "the link is two-sided");
+    assert_eq!(net.connected_peers(NodeId(0)), &[NodeId(1)], "n0 is at its degree");
+    assert_eq!(net.lifecycle_rebootstraps(), 1);
+    assert!(net.overlay_connected());
+    let run = net.run_query(NodeId(0), QUERY, scope(None), ResponseMode::Routed);
+    assert_eq!(run.results.len(), 2 * net.alive_count());
 }
 
 /// Stochastic churn at a configurable rate keeps running queries

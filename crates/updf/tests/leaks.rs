@@ -11,7 +11,7 @@ use std::time::Duration;
 use wsda_net::model::NetworkModel;
 use wsda_net::NodeId;
 use wsda_pdp::{ResponseMode, Scope};
-use wsda_updf::{LifecycleConfig, LiveNetwork, P2pConfig, SimNetwork, Topology};
+use wsda_updf::{LiveNetwork, P2pConfig, SimNetwork, Topology};
 
 const QUERY: &str = r#"//service[load < 0.5]/owner"#;
 const TXNS: usize = 100;
@@ -139,11 +139,8 @@ fn sim_state_stays_bounded_across_200_churn_cycles() {
     // anything anywhere: not in its own slots (reset on rejoin), and not
     // in its peers' slots (swept on departure — result-cache entries,
     // ledger streams, pending acks, breaker history, peer-table entries).
-    let config = P2pConfig {
-        lifecycle: LifecycleConfig::on(),
-        result_cache_ttl_ms: 1 << 40,
-        ..P2pConfig::default()
-    };
+    let config =
+        P2pConfig { lifecycle: true, result_cache_ttl_ms: 1 << 40, ..P2pConfig::default() };
     let mut net = SimNetwork::build(Topology::ring(4), NetworkModel::constant(10), config);
     let cache_scope =
         Scope { result_staleness_ms: 1 << 30, abort_timeout_ms: 200, ..Scope::default() };

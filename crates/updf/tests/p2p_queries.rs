@@ -6,7 +6,8 @@ use wsda_net::model::NetworkModel;
 use wsda_net::NodeId;
 use wsda_pdp::{ResponseMode, Scope};
 use wsda_registry::Freshness;
-use wsda_updf::{P2pConfig, SimNetwork, TimeoutMode, Topology};
+use wsda_updf::{P2pConfig, QueryRun, SimNetwork, TimeoutMode, Topology};
+use wsda_xml::Element;
 use wsda_xq::{Item, Query};
 
 const QUERY: &str = r#"//service[load < 0.5]/owner"#;
@@ -248,6 +249,52 @@ fn random_k_policy_reduces_messages() {
     // Recall can drop, but whatever is found is a subset of the flood.
     let flood_set: std::collections::HashSet<_> = flood.results.into_iter().collect();
     assert!(random2.results.iter().all(|r| flood_set.contains(r)));
+}
+
+/// A `hint:` query follows the routing index to content planted two and
+/// three hops out, skips the subtrees that hold none, and reaches content
+/// planted after an earlier hint query ran.
+#[test]
+fn hint_policy_reaches_planted_content() {
+    const RARE: &str = r#"//service[interface/@type = "TapeArchive-1.0"]/owner"#;
+    let config =
+        P2pConfig { hop_cost_ms: 0, eval_delay_ms: 1, tuples_per_node: 2, ..P2pConfig::default() };
+    let mut net = SimNetwork::build(Topology::tree(40, 3), NetworkModel::constant(10), config);
+    let hops = net.topology().distances_from(NodeId(0));
+    let plant = |net: &mut SimNetwork, i: u32| {
+        assert!((2..=3).contains(&hops[i as usize]), "n{i} is {} hops out", hops[i as usize]);
+        let content = Element::new("service")
+            .with_child(Element::new("interface").with_attr("type", "TapeArchive-1.0"))
+            .with_field("owner", format!("site{i}.cern.ch"));
+        net.plant_service(NodeId(i), "tape-archive", &format!("http://tape/{i}"), content);
+    };
+    let run = |net: &mut SimNetwork, policy: &str| {
+        let scope = Scope { neighbor_policy: policy.into(), ..Scope::default() };
+        net.run_query(NodeId(0), RARE, scope, ResponseMode::Routed)
+    };
+    let sites = |run: &QueryRun| {
+        let found: Vec<u32> = (0..40)
+            .filter(|i| run.results.iter().any(|r| r.contains(&format!(">site{i}."))))
+            .collect();
+        assert_eq!(found.len(), run.results.len(), "one item per planted site");
+        found
+    };
+    // n5 hangs under n1 and n25 under n2; n3's subtree holds no tape archive.
+    plant(&mut net, 5);
+    plant(&mut net, 25);
+    let hint = run(&mut net, "hint:tape-archive");
+    let flood = run(&mut net, "all");
+    assert_eq!(sites(&hint), [5, 25]);
+    assert_eq!(sites(&flood), [5, 25]);
+    assert!(
+        hint.metrics.nodes_evaluated < flood.metrics.nodes_evaluated,
+        "hint evaluated {} nodes, the flood {}",
+        hint.metrics.nodes_evaluated,
+        flood.metrics.nodes_evaluated
+    );
+    // Content planted after a hint query ran is found by the next one.
+    plant(&mut net, 35);
+    assert_eq!(sites(&run(&mut net, "hint:tape-archive")), [5, 25, 35]);
 }
 
 #[test]

@@ -31,8 +31,7 @@ use wsda_net::NodeId;
 use wsda_pdp::{QueryLanguage, ResponseMode, Scope};
 use wsda_registry::AdmissionConfig;
 use wsda_updf::{
-    BreakerConfig, LifecycleConfig, P2pConfig, QueryRun, RecoveryConfig, SimNetwork, TimeoutMode,
-    Topology,
+    BreakerConfig, P2pConfig, QueryRun, RecoveryConfig, SimNetwork, TimeoutMode, Topology,
 };
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/sim_golden.txt");
@@ -241,7 +240,7 @@ fn lines() -> Vec<String> {
 
     // Lifecycle with churn ticks between queries.
     let config = P2pConfig {
-        lifecycle: LifecycleConfig::on(),
+        lifecycle: true,
         churn: ChurnConfig::rates(1_000, 0.2, 0.5, 17).with_exempt(NodeId(0)),
         ..P2pConfig::default()
     };

@@ -18,9 +18,7 @@ use wsda_net::model::NetworkModel;
 use wsda_net::NodeId;
 use wsda_obs::{TraceEvent, TraceKind};
 use wsda_pdp::{ResponseMode, Scope};
-use wsda_updf::{
-    LifecycleConfig, LiveNetwork, P2pConfig, RecoveryConfig, SimNetwork, TimeoutMode, Topology,
-};
+use wsda_updf::{LiveNetwork, P2pConfig, RecoveryConfig, SimNetwork, TimeoutMode, Topology};
 
 const SEED: u64 = 31;
 const TUPLES: usize = 3;
@@ -37,7 +35,7 @@ fn recovery() -> RecoveryConfig {
 fn sim(topology: Topology) -> SimNetwork {
     let config = P2pConfig {
         hop_cost_ms: 0,
-        lifecycle: LifecycleConfig::on(),
+        lifecycle: true,
         timeout_mode: TimeoutMode::DynamicAbort,
         recovery: recovery(),
         seed: SEED,
