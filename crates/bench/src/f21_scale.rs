@@ -165,14 +165,15 @@ pub fn run(quick: bool) -> Report {
                 c.idle_bytes_per_node
             );
             // Peak guardrail: with every registry materialized mid-flood
-            // the process high-water mark runs ~28 KB/node at 10^4 nodes,
-            // four tuples per node each holding one copy of its content.
-            // 40 KB/node catches a second copy of every tuple's content
-            // (~47 KB/node) without tripping on allocator slack.
+            // the process high-water mark runs ~20 KB/node at 10^4 nodes,
+            // four tuples per node each holding one compact document
+            // (short strings inline, vectors at exact size). 24 KB/node
+            // catches a return to a heap block per string (~27 KB/node)
+            // without tripping on allocator slack.
             let peak_per_node = peak_rss_kb() as f64 * 1024.0 / n as f64;
             assert!(
-                peak_per_node < 40.0 * 1024.0,
-                "{n} nodes: peak RSS {:.0} B/node (guardrail 40 KB)",
+                peak_per_node < 24.0 * 1024.0,
+                "{n} nodes: peak RSS {:.0} B/node (guardrail 24 KB)",
                 peak_per_node
             );
         }

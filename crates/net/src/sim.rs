@@ -159,11 +159,6 @@ impl<M> Simulator<M> {
         &self.stats
     }
 
-    /// Replace the chaos plan mid-run (crash/heal nodes).
-    pub fn set_faults(&mut self, chaos: ChaosPlan) {
-        self.chaos = chaos;
-    }
-
     /// The active chaos plan.
     pub fn chaos(&self) -> &ChaosPlan {
         &self.chaos

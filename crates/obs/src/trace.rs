@@ -51,26 +51,6 @@ pub enum TraceKind {
     Leave,
 }
 
-impl TraceKind {
-    /// Stable lower-case name (used in JSON dumps).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::Recv => "recv",
-            TraceKind::Eval => "eval",
-            TraceKind::CacheServed => "cache_served",
-            TraceKind::Forward => "forward",
-            TraceKind::Results => "results",
-            TraceKind::Deliver => "deliver",
-            TraceKind::Ack => "ack",
-            TraceKind::Retry => "retry",
-            TraceKind::Abandon => "abandon",
-            TraceKind::Close => "close",
-            TraceKind::Join => "join",
-            TraceKind::Leave => "leave",
-        }
-    }
-}
-
 /// One event in a node's trace ring.
 ///
 /// Node names are shared: a driver hands every event the same `Arc<str>`
@@ -108,19 +88,6 @@ impl TraceEvent {
     pub fn with_items(mut self, items: u64) -> TraceEvent {
         self.items = items;
         self
-    }
-
-    fn to_json(&self) -> Value {
-        let mut o = BTreeMap::new();
-        o.insert("txn".to_owned(), Value::String(format!("{:032x}", self.txn)));
-        o.insert("node".to_owned(), Value::String(self.node.to_string()));
-        if let Some(p) = &self.peer {
-            o.insert("peer".to_owned(), Value::String(p.to_string()));
-        }
-        o.insert("kind".to_owned(), Value::String(self.kind.as_str().to_owned()));
-        o.insert("at_ms".to_owned(), Value::Number(Number::Int(self.at_ms as i64)));
-        o.insert("items".to_owned(), Value::Number(Number::Int(self.items as i64)));
-        Value::Object(o)
     }
 }
 
@@ -472,11 +439,6 @@ impl QueryTrace {
         o.insert("dropped".to_owned(), Value::Number(Number::Int(self.dropped as i64)));
         o.insert("spans".to_owned(), Value::Array(self.spans.iter().map(Span::to_json).collect()));
         Value::Object(o)
-    }
-
-    /// JSON dump of raw events (debugging aid for partial traces).
-    pub fn events_json(events: &[TraceEvent]) -> Value {
-        Value::Array(events.iter().map(TraceEvent::to_json).collect())
     }
 }
 

@@ -172,11 +172,6 @@ pub enum Admission {
 }
 
 impl Admission {
-    /// True when the query was shed.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, Admission::Shed { .. })
-    }
-
     /// The outcome, if the query was answered.
     pub fn outcome(self) -> Option<crate::registry::QueryOutcome> {
         match self {

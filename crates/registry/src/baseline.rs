@@ -34,7 +34,7 @@ impl ServiceRecord {
         let key = xml.attr("link").unwrap_or_default().to_owned();
         let mut attrs = Vec::new();
         for a in xml.attributes() {
-            attrs.push((a.name.clone(), a.value.clone()));
+            attrs.push((a.name.as_str().to_owned(), a.value.as_str().to_owned()));
         }
         if let Some(content) = xml.first_child_named("content") {
             for top in content.child_elements() {
@@ -54,7 +54,7 @@ fn flatten(e: &Element, prefix: &str, out: &mut Vec<(String, String)>) {
     let path =
         if prefix.is_empty() { e.name().to_owned() } else { format!("{prefix}.{}", e.name()) };
     for a in e.attributes() {
-        out.push((format!("{path}.{}", a.name), a.value.clone()));
+        out.push((format!("{path}.{}", a.name), a.value.as_str().to_owned()));
     }
     let has_child_elements = e.child_elements().next().is_some();
     if has_child_elements {

@@ -268,7 +268,7 @@ impl ContentIndex {
         postings.push((segs.clone(), self.capped(elem.text())));
         for attr in elem.attributes() {
             segs.push(format!("@{}", attr.name));
-            postings.push((segs.clone(), self.capped(attr.value.clone())));
+            postings.push((segs.clone(), self.capped(attr.value.as_str().to_owned())));
             segs.pop();
         }
         if postings.len() > self.caps.max_postings_per_tuple {

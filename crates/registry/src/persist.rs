@@ -460,11 +460,6 @@ impl WalBackend {
             && self.appends_since_snapshot.load(Ordering::Relaxed) >= self.snapshot_every
     }
 
-    /// True after an append/sync error; the backend has stopped logging.
-    pub fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
-    }
-
     /// Force an fsync of the WAL (e.g. before a deliberate process exit).
     pub fn sync(&self) -> io::Result<()> {
         let mut wal = self.wal.lock().unwrap();

@@ -468,11 +468,6 @@ impl HyperRegistry {
         self.providers.write().insert(provider.link().to_owned(), provider);
     }
 
-    /// Remove the provider for `link`.
-    pub fn unregister_provider(&self, link: &str) {
-        self.providers.write().remove(link);
-    }
-
     /// Publish or re-publish a tuple. Content pushed with the request is
     /// installed in the cache; otherwise content arrives later by pull.
     ///

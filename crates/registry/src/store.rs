@@ -87,11 +87,6 @@ impl TupleStore {
         self.backend = Some(backend);
     }
 
-    /// Detach the durable backend (mutations stop being logged).
-    pub fn detach_backend(&mut self) -> Option<Arc<dyn DurableBackend>> {
-        self.backend.take()
-    }
-
     /// Insert a fully-formed tuple as-is, preserving its timestamps and
     /// ordinal — the recovery path ([`crate::persist`]) uses this to load
     /// snapshot images. Not logged. Replaces any tuple under the same link.

@@ -16,12 +16,14 @@
 //! is created and every mutator updates it in place, so handing it to a
 //! query is an `Arc` clone. A mutator copies the document only while a
 //! reader still holds the previous version, and that reader keeps a
-//! consistent snapshot.
+//! consistent snapshot. The document's vectors are built at exact size:
+//! the wrapper's attribute list, `<tuple>`'s one child and `<content>`'s
+//! child list hold no spare capacity.
 
 use crate::baseline::ServiceRecord;
 use crate::clock::Time;
 use std::sync::{Arc, OnceLock};
-use wsda_xml::{Element, XmlNode};
+use wsda_xml::{Attribute, Element, XmlNode};
 
 /// The primary key of a tuple: its content link.
 pub type TupleKey = String;
@@ -138,18 +140,16 @@ impl Tuple {
     pub fn set_content(&mut self, content: &Element, now: Time) {
         self.content_cached = Some(now);
         let doc = self.doc_mut();
-        doc.set_attr("tc", now.millis().to_string());
-        let slot = content_slot_mut(doc).children_mut();
-        slot.clear();
-        slot.push(XmlNode::Element(content.clone()));
+        set_tc(doc, Some(now));
+        *content_slot_mut(doc).children_mut() = vec![XmlNode::Element(content.clone())];
     }
 
     /// Drop cached content (e.g. after repeated pull failures).
     pub fn clear_content(&mut self) {
         self.content_cached = None;
         let doc = self.doc_mut();
-        doc.remove_attr("tc");
-        content_slot_mut(doc).children_mut().clear();
+        set_tc(doc, None);
+        *content_slot_mut(doc).children_mut() = Vec::new();
     }
 
     /// The tuple as the XML document queries navigate:
@@ -200,7 +200,7 @@ impl Tuple {
 }
 
 /// The `<tuple>` element for the given metadata, attributes in document
-/// order and no children.
+/// order and room for exactly its one child, `<content>`.
 fn wrapper(
     link: &str,
     type_: &str,
@@ -210,7 +210,8 @@ fn wrapper(
     ttl_ms: u64,
     content_cached: Option<Time>,
 ) -> Element {
-    let mut e = Element::new("tuple")
+    let attributes = 6 + usize::from(content_cached.is_some());
+    let mut e = Element::with_capacity("tuple", attributes, 1)
         .with_attr("link", link)
         .with_attr("type", type_)
         .with_attr("ctx", context)
@@ -221,6 +222,23 @@ fn wrapper(
         e.set_attr("tc", tc.millis().to_string());
     }
     e
+}
+
+/// Set or remove `tc`, the wrapper's last attribute, keeping the
+/// attribute list at exact size: an added `tc` grows it by one slot, and
+/// a removed one (rare: repeated pull failures) shrinks it by one.
+fn set_tc(doc: &mut Element, tc: Option<Time>) {
+    let attributes = doc.attributes_mut();
+    if attributes.last().is_some_and(|a| a.name == "tc") {
+        attributes.pop();
+    }
+    match tc {
+        Some(tc) => {
+            attributes.reserve_exact(1);
+            attributes.push(Attribute::new("tc", tc.millis().to_string()));
+        }
+        None => attributes.shrink_to_fit(),
+    }
 }
 
 /// The `<content>` element: a tuple document's only child.
@@ -300,6 +318,27 @@ mod tests {
         let xml = t.to_xml();
         assert!(xml.first_child_named("content").unwrap().children().is_empty());
         assert_eq!(xml.attr("tc"), None);
+    }
+
+    #[test]
+    fn document_vectors_have_no_spare_capacity() {
+        fn assert_exact(t: &mut Tuple, attributes: usize, content: usize) {
+            let doc = Arc::get_mut(&mut t.doc).expect("no reader holds the document");
+            let attrs = doc.attributes_mut();
+            assert_eq!((attrs.len(), attrs.capacity()), (attributes, attributes));
+            assert_eq!(doc.children_mut().capacity(), 1);
+            let slot = content_slot_mut(doc).children_mut();
+            assert_eq!((slot.len(), slot.capacity()), (content, content));
+        }
+        let mut t = tuple();
+        assert_exact(&mut t, 6, 0);
+        t.set_content(&parse_fragment("<x/>").unwrap(), Time(200));
+        assert_exact(&mut t, 7, 1);
+        t.set_content(&parse_fragment("<y/>").unwrap(), Time(300));
+        t.refresh(Time(400), 1000);
+        assert_exact(&mut t, 7, 1);
+        t.clear_content();
+        assert_exact(&mut t, 6, 0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //!
 //! * [`Element`] / [`XmlNode`] — an owned tree model suitable for storing
 //!   millions of small service-description tuples,
+//! * [`SmallStr`] — the string type of names, attribute values and text:
+//!   a string of up to 22 bytes lives inside the node instead of in a heap
+//!   block of its own, so a rendered service tuple costs ~18 heap blocks
+//!   instead of ~57,
 //! * [`parse`] / [`parse_fragment`] — a non-validating, well-formedness
 //!   checking parser (elements, attributes, text, comments, CDATA, processing
 //!   instructions, character/entity references, namespace *prefix* syntax),
@@ -38,10 +42,12 @@ pub mod name;
 pub mod node;
 pub mod parser;
 pub mod path;
+pub mod small_str;
 pub mod writer;
 
 pub use error::{XmlError, XmlResult};
 pub use name::{name_matches, QName};
 pub use node::{Attribute, Document, Element, XmlNode};
 pub use parser::{parse, parse_fragment};
+pub use small_str::SmallStr;
 pub use writer::{Writer, WriterConfig};

@@ -6,8 +6,15 @@
 //! millions of small immutable tuples, and the XQuery evaluator walks trees
 //! top-down, so child/descendant/attribute axes suffice and tuples stay
 //! `Send + Sync` for rayon-parallel scans for free.
+//!
+//! Element names, attribute names and values, and text and CDATA are
+//! [`SmallStr`]s: a string of up to 22 bytes lives inside the node, so
+//! most of a service description's strings cost no heap block of their
+//! own. Comments and processing instructions, which tuples do not carry,
+//! stay `String`s.
 
 use crate::name::{name_matches, QName};
+use crate::small_str::SmallStr;
 use crate::writer::{Writer, WriterConfig};
 use std::fmt;
 
@@ -15,14 +22,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Lexical attribute name (may carry a prefix, e.g. `xsi:type`).
-    pub name: String,
+    pub name: SmallStr,
     /// The attribute value with entities already resolved.
-    pub value: String,
+    pub value: SmallStr,
 }
 
 impl Attribute {
     /// Create an attribute.
-    pub fn new(name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<SmallStr>, value: impl Into<SmallStr>) -> Self {
         Attribute { name: name.into(), value: value.into() }
     }
 }
@@ -33,9 +40,9 @@ pub enum XmlNode {
     /// A child element.
     Element(Element),
     /// Character data (entities already resolved).
-    Text(String),
+    Text(SmallStr),
     /// A CDATA section; contents are uninterpreted character data.
-    CData(String),
+    CData(SmallStr),
     /// A comment (without the `<!--`/`-->` delimiters).
     Comment(String),
     /// A processing instruction `<?target data?>`.
@@ -79,15 +86,26 @@ impl From<Element> for XmlNode {
 /// An XML element: name, attributes and ordered children.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
-    name: String,
+    name: SmallStr,
     attributes: Vec<Attribute>,
     children: Vec<XmlNode>,
 }
 
 impl Element {
     /// Create an empty element with the given lexical name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Element { name: name.into(), attributes: Vec::new(), children: Vec::new() }
+    pub fn new(name: impl Into<SmallStr>) -> Self {
+        Element::with_capacity(name, 0, 0)
+    }
+
+    /// Create an empty element with room for exactly `attributes`
+    /// attributes and `children` child nodes, so a tree built to a known
+    /// shape carries no spare capacity.
+    pub fn with_capacity(name: impl Into<SmallStr>, attributes: usize, children: usize) -> Self {
+        Element {
+            name: name.into(),
+            attributes: Vec::with_capacity(attributes),
+            children: Vec::with_capacity(children),
+        }
     }
 
     /// The lexical element name (`prefix:local` or `local`).
@@ -100,15 +118,10 @@ impl Element {
         QName::parse(&self.name)
     }
 
-    /// Rename the element.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     // ---- builder API -------------------------------------------------
 
     /// Builder: add an attribute and return self.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, name: impl Into<SmallStr>, value: impl Into<SmallStr>) -> Self {
         self.set_attr(name, value);
         self
     }
@@ -120,7 +133,7 @@ impl Element {
     }
 
     /// Builder: append a text node and return self.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
+    pub fn with_text(mut self, text: impl Into<SmallStr>) -> Self {
         self.children.push(XmlNode::Text(text.into()));
         self
     }
@@ -133,7 +146,7 @@ impl Element {
 
     /// Builder: append a named child holding only text — the single most
     /// common shape in service descriptions (`<owner>cms.cern.ch</owner>`).
-    pub fn with_field(self, name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn with_field(self, name: impl Into<SmallStr>, text: impl Into<SmallStr>) -> Self {
         self.with_child(Element::new(name).with_text(text))
     }
 
@@ -150,7 +163,7 @@ impl Element {
     }
 
     /// Set (or replace) an attribute.
-    pub fn set_attr(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn set_attr(&mut self, name: impl Into<SmallStr>, value: impl Into<SmallStr>) {
         let name = name.into();
         let value = value.into();
         if let Some(a) = self.attributes.iter_mut().find(|a| a.name == name) {
@@ -160,10 +173,9 @@ impl Element {
         }
     }
 
-    /// Remove an attribute, returning its value when it existed.
-    pub fn remove_attr(&mut self, name: &str) -> Option<String> {
-        let idx = self.attributes.iter().position(|a| a.name == name)?;
-        Some(self.attributes.remove(idx).value)
+    /// Mutable access to the attributes. Callers keep names unique.
+    pub fn attributes_mut(&mut self) -> &mut Vec<Attribute> {
+        &mut self.attributes
     }
 
     // ---- children -----------------------------------------------------
@@ -312,11 +324,6 @@ impl Document {
         &self.root
     }
 
-    /// Mutable access to the document element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
-
     /// Consume the document, yielding the root element.
     pub fn into_root(self) -> Element {
         self.root
@@ -362,8 +369,6 @@ mod tests {
         e.set_attr("k", "2");
         assert_eq!(e.attr("k"), Some("2"));
         assert_eq!(e.attributes().len(), 1);
-        assert_eq!(e.remove_attr("k"), Some("2".to_owned()));
-        assert_eq!(e.remove_attr("k"), None);
     }
 
     #[test]
@@ -402,6 +407,16 @@ mod tests {
         assert!(XmlNode::Text("  \n\t".into()).is_whitespace());
         assert!(!XmlNode::Text(" a ".into()).is_whitespace());
         assert!(!XmlNode::Comment(" ".into()).is_whitespace());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn inline_strings_grow_no_node() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<SmallStr>(), size_of::<String>());
+        assert_eq!(size_of::<Element>(), 72);
+        assert_eq!(size_of::<XmlNode>(), 72);
+        assert_eq!(size_of::<Attribute>(), 48);
     }
 
     #[test]

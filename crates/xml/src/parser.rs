@@ -220,7 +220,7 @@ impl<'a> Parser<'a> {
             if self.starts_with("?>") {
                 let data = self.input[start..self.pos].to_owned();
                 self.eat("?>");
-                return Ok(XmlNode::ProcessingInstruction { target, data });
+                return Ok(XmlNode::ProcessingInstruction { target: target.to_owned(), data });
             }
             if self.bump().is_none() {
                 return Err(self.eof("processing instruction"));
@@ -233,9 +233,9 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         loop {
             if self.starts_with("]]>") {
-                let text = self.input[start..self.pos].to_owned();
+                let text = &self.input[start..self.pos];
                 self.eat("]]>");
-                return Ok(XmlNode::CData(text));
+                return Ok(XmlNode::CData(text.into()));
             }
             if self.bump().is_none() {
                 return Err(self.eof("CDATA section"));
@@ -243,7 +243,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> XmlResult<String> {
+    fn parse_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
         match self.peek() {
             Some(c) if is_name_start(c) => {
@@ -273,7 +273,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(self.input[start..self.pos].to_owned())
+        Ok(&self.input[start..self.pos])
     }
 
     fn parse_element(&mut self) -> XmlResult<Element> {
@@ -290,7 +290,7 @@ impl<'a> Parser<'a> {
     fn parse_element_inner(&mut self) -> XmlResult<Element> {
         self.expect("<")?;
         let name = self.parse_name()?;
-        let mut element = Element::new(name.clone());
+        let mut element = Element::new(name);
         loop {
             self.skip_whitespace();
             match self.peek() {
@@ -305,8 +305,10 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if is_name_start(c) => {
                     let attr_name = self.parse_name()?;
-                    if element.attr(&attr_name).is_some() {
-                        return Err(self.error(XmlErrorKind::DuplicateAttribute(attr_name)));
+                    if element.attr(attr_name).is_some() {
+                        return Err(
+                            self.error(XmlErrorKind::DuplicateAttribute(attr_name.to_owned()))
+                        );
                     }
                     self.skip_whitespace();
                     self.expect("=")?;
@@ -328,7 +330,10 @@ impl<'a> Parser<'a> {
         self.expect("</")?;
         let close = self.parse_name()?;
         if close != name {
-            return Err(self.error(XmlErrorKind::MismatchedTag { open: name, close }));
+            return Err(self.error(XmlErrorKind::MismatchedTag {
+                open: name.to_owned(),
+                close: close.to_owned(),
+            }));
         }
         self.skip_whitespace();
         self.expect(">")?;
@@ -342,7 +347,8 @@ impl<'a> Parser<'a> {
                 None => return Err(self.eof("element content")),
                 Some('<') => {
                     if !text.is_empty() {
-                        element.push(XmlNode::Text(std::mem::take(&mut text)));
+                        element.push(XmlNode::Text(text.as_str().into()));
+                        text.clear();
                     }
                     if self.starts_with("</") {
                         return Ok(());

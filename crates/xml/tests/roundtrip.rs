@@ -27,7 +27,7 @@ fn arb_element(depth: u32) -> BoxedStrategy<Element> {
                 e.set_attr(an, av);
             }
             if !text.is_empty() {
-                e.push(XmlNode::Text(text));
+                e.push(XmlNode::Text(text.into()));
             }
             e
         });

@@ -133,13 +133,6 @@ impl DynamicContext {
         self.context_item.as_ref()
     }
 
-    /// Set the context item (with position/size 1).
-    pub fn set_context_item(&mut self, item: Item) {
-        self.context_item = Some(item);
-        self.position = 1;
-        self.size = 1;
-    }
-
     /// 1-based position of the context item in its focus sequence.
     pub fn position(&self) -> usize {
         self.position
@@ -287,7 +280,7 @@ fn eval_inner(expr: &Expr, ctx: &mut DynamicContext) -> XqResult<Sequence> {
             let value = eval(value, ctx)?;
             let text = atomize_joined(&value);
             // A detached attribute is carried on an anonymous owner element.
-            let owner = Element::new("#attr").with_attr(name.clone(), text);
+            let owner = Element::new("#attr").with_attr(name.as_str(), text);
             let root = NodeRef::root(Arc::new(owner), next_constructed_ord());
             Ok(vec![Item::Node(root.attribute(&name).expect("attribute was just set"))])
         }
@@ -990,7 +983,7 @@ impl Ord for OrderValue {
 // ==== constructors =======================================================
 
 fn build_direct(d: &DirectConstructor, ctx: &mut DynamicContext) -> XqResult<Element> {
-    let mut element = Element::new(d.name.clone());
+    let mut element = Element::new(d.name.as_str());
     for (name, parts) in &d.attributes {
         let mut value = String::new();
         for part in parts {
@@ -1002,11 +995,11 @@ fn build_direct(d: &DirectConstructor, ctx: &mut DynamicContext) -> XqResult<Ele
                 }
             }
         }
-        element.set_attr(name.clone(), value);
+        element.set_attr(name.as_str(), value);
     }
     for content in &d.content {
         match content {
-            ConstructorContent::Text(t) => element.push(XmlNode::Text(t.clone())),
+            ConstructorContent::Text(t) => element.push(XmlNode::Text(t.as_str().into())),
             ConstructorContent::Element(inner) => {
                 let child = build_direct(inner, ctx)?;
                 element.push(child);
@@ -1027,7 +1020,7 @@ fn append_content(element: &mut Element, seq: &[Item]) -> XqResult<()> {
     let mut atom_buf: Vec<String> = Vec::new();
     let flush = |element: &mut Element, buf: &mut Vec<String>| {
         if !buf.is_empty() {
-            element.push(XmlNode::Text(buf.join(" ")));
+            element.push(XmlNode::Text(buf.join(" ").into()));
             buf.clear();
         }
     };
@@ -1039,11 +1032,11 @@ fn append_content(element: &mut Element, seq: &[Item]) -> XqResult<()> {
                     element.push(n.element().clone());
                 }
                 NodeKind::Attribute(_) => {
-                    element.set_attr(n.name(), n.string_value());
+                    element.set_attr(n.name_str(), n.str_value().as_ref());
                 }
                 NodeKind::Text(_) => {
                     flush(element, &mut atom_buf);
-                    element.push(XmlNode::Text(n.string_value()));
+                    element.push(XmlNode::Text(n.str_value().as_ref().into()));
                 }
             },
             atomic => atom_buf.push(atomic.string_value()),

@@ -6,7 +6,7 @@
 
 use crate::error::{XqError, XqResult};
 use crate::eval::{eval, DynamicContext};
-use crate::value::{document_order_dedup, effective_boolean, format_number, Item, Sequence};
+use crate::value::{document_order_dedup, effective_boolean, Item, Sequence};
 use crate::Expr;
 use std::borrow::Cow;
 
@@ -572,11 +572,6 @@ fn glob_match(pattern: &str, text: &str) -> bool {
         pi += 1;
     }
     pi == p.len()
-}
-
-/// Expose XPath number formatting for the registry's result rendering.
-pub fn format_num(n: f64) -> String {
-    format_number(n)
 }
 
 #[cfg(test)]

@@ -621,3 +621,52 @@ fn string_literal_operands_compare_like_computed_strings() {
         }
     }
 }
+
+#[test]
+fn strings_either_side_of_the_inline_limit_compare_and_serialize_alike() {
+    // Element names, attribute names and values and texts of 22 bytes
+    // (stored inline in the node) and 23 bytes (stored on the heap); `mid`
+    // is 23 bytes whose two-byte 'é' straddles byte 22.
+    let inline = "a".repeat(22);
+    let boxed = "a".repeat(23);
+    let mid = format!("{}é", "b".repeat(21));
+    let src = format!(
+        "<doc><{inline} {inline}=\"{boxed}\">{mid}</{inline}>\
+         <{boxed} {boxed}=\"{inline}\">{boxed}</{boxed}>\
+         <e k=\"{mid}\">{inline}</e></doc>"
+    );
+    let doc = Arc::new(parse_fragment(&src).unwrap());
+    assert_eq!(doc.to_compact_string(), src);
+    let eval = |q: &str| -> Vec<String> {
+        let query = Query::parse(q).unwrap_or_else(|e| panic!("parse {q:?}: {e}"));
+        let seq = query.eval_over(vec![doc.clone()]).unwrap_or_else(|e| panic!("eval {q:?}: {e}"));
+        seq.iter().map(|i| i.serialize()).collect()
+    };
+
+    // Name tests and attribute lookups on both sides of the limit.
+    assert_eq!(eval(&format!("//{inline}/@{inline}")), [boxed.as_str()]);
+    assert_eq!(eval(&format!("//{boxed}/@{boxed}")), [inline.as_str()]);
+    assert_eq!(eval(&format!("//{inline}/text()")), [mid.as_str()]);
+    assert_eq!(eval(&format!("for $e in //*[@* = '{inline}'] return name($e)")), [boxed.as_str()]);
+    assert_eq!(eval(&format!("for $e in //*[. = '{boxed}'] return name($e)")), [boxed.as_str()]);
+    assert_eq!(eval(&format!("//e[@k = '{mid}']")), [format!("<e k=\"{mid}\">{inline}</e>")]);
+
+    // Lexicographic order: the 22-byte string sorts before the 23-byte one.
+    assert_eq!(eval(&format!("count(//@*[. lt '{boxed}'])")), ["1"]);
+    assert_eq!(eval(&format!("count(//*[not(*)][. ge '{inline}'])")), ["3"]);
+    assert_eq!(eval(&format!("count(//*[not(*)][. gt '{boxed}'])")), ["1"]);
+    assert_eq!(eval(&format!("compare(//e, //{boxed})")), ["-1"]);
+
+    // Prefix and suffix tests across the limit, and on the straddling char.
+    assert_eq!(eval(&format!("count(//*[starts-with(@*, '{inline}')])")), ["2"]);
+    assert_eq!(eval(&format!("count(//*[starts-with(., '{boxed}')])")), ["1"]);
+    assert_eq!(eval("count(//*[ends-with(@*, 'bé')])"), ["1"]);
+    assert_eq!(eval(&format!("string-length(//{inline})")), ["22"]);
+    assert_eq!(eval(&format!("ends-with(//{inline}, 'é')")), ["true"]);
+
+    // Constructed results serialize every string whole.
+    assert_eq!(
+        eval(&format!("<r n=\"{{//{inline}}}\">{{//{boxed}/@{boxed}}}{{//e}}</r>")),
+        [format!("<r n=\"{mid}\" {boxed}=\"{inline}\"><e k=\"{mid}\">{inline}</e></r>")]
+    );
+}
