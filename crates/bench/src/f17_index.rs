@@ -14,7 +14,9 @@
 //! approaches 100%. The non-sargable control row bounds the planner's
 //! overhead on queries it cannot help (it must stay ~1×). The acceptance
 //! bar is ≥3× on the needle predicate at 10k tuples (debug build); the
-//! release sweep at 50k lands far higher. Emits `BENCH_p2_index.json`.
+//! release sweep at 50k lands far higher. Both builds are timed, so every
+//! row also reports each registry's mean publish µs per tuple: what the
+//! index costs to keep. Emits `BENCH_p2_index.json`.
 
 use crate::harness::{f1 as fmt1, f3 as fmt3, timed, write_bench, Report};
 use serde_json::json;
@@ -46,29 +48,48 @@ fn needle_content(i: usize) -> Element {
         .with_field("load", format!("0.{}", i % 10))
 }
 
-/// Build the indexed/scan registry pair over an identical corpus.
-fn build_pair(n: usize) -> (HyperRegistry, HyperRegistry) {
-    let indexed = HyperRegistry::new(RegistryConfig::default(), Arc::new(ManualClock::new()));
-    let scan = HyperRegistry::new(
-        RegistryConfig { content_index: false, ..RegistryConfig::default() },
+/// The publications of an `n`-tuple corpus: the synthetic services, then
+/// the needles.
+fn corpus(n: usize) -> Vec<PublishRequest> {
+    // Same seed ⇒ the exact same deterministic corpus for both registries.
+    let mut generator = CorpusGenerator::new(17 + n as u64);
+    let services = (0..n.saturating_sub(NEEDLE_COUNT)).map(|_| {
+        let (link, _kind, domain, content) = generator.next_service();
+        PublishRequest::new(&link, "service")
+            .with_context(domain)
+            .with_ttl_ms(TTL_MS)
+            .with_content(content)
+    });
+    let needles = (0..NEEDLE_COUNT).map(|i| {
+        PublishRequest::new(format!("http://needle.example/svc/{i}"), "service")
+            .with_context("needle.example")
+            .with_ttl_ms(TTL_MS)
+            .with_content(needle_content(i))
+    });
+    services.chain(needles).collect()
+}
+
+/// A registry holding the `n`-tuple corpus, and the mean µs each publish
+/// took (the corpus is built before the clock starts).
+fn build(n: usize, content_index: bool) -> (HyperRegistry, f64) {
+    let registry = HyperRegistry::new(
+        RegistryConfig { content_index, ..RegistryConfig::default() },
         Arc::new(ManualClock::new()),
     );
-    for registry in [&indexed, &scan] {
-        // Same seed ⇒ the exact same deterministic corpus in both.
-        let mut generator = CorpusGenerator::new(17 + n as u64);
-        generator.populate(registry, n.saturating_sub(NEEDLE_COUNT), TTL_MS);
-        for i in 0..NEEDLE_COUNT {
-            registry
-                .publish(
-                    PublishRequest::new(format!("http://needle.example/svc/{i}"), "service")
-                        .with_context("needle.example")
-                        .with_ttl_ms(TTL_MS)
-                        .with_content(needle_content(i)),
-                )
-                .expect("needle publish");
+    let requests = corpus(n);
+    let count = requests.len();
+    let ((), ms) = timed(|| {
+        for request in requests {
+            registry.publish(request).expect("synthetic publish");
         }
-    }
-    (indexed, scan)
+    });
+    (registry, ms * 1_000.0 / count.max(1) as f64)
+}
+
+/// The indexed/scan registry pair over an identical corpus, with each
+/// one's mean publish µs: the index's cost to keep.
+fn build_pair(n: usize) -> ((HyperRegistry, f64), (HyperRegistry, f64)) {
+    (build(n, true), build(n, false))
 }
 
 /// Average per-query milliseconds over `reps` runs, plus the last outcome.
@@ -91,10 +112,20 @@ pub fn run(quick: bool) -> Report {
     let mut report = Report::new(
         "f17",
         "Predicate pushdown: content-index lookups vs full scan by selectivity",
-        &["tuples", "query", "scan ms", "indexed ms", "speedup", "plan", "candidates"],
+        &[
+            "tuples",
+            "query",
+            "scan ms",
+            "indexed ms",
+            "speedup",
+            "plan",
+            "candidates",
+            "scan publish µs",
+            "indexed publish µs",
+        ],
     );
     for &n in sizes {
-        let (indexed, scan) = build_pair(n);
+        let ((indexed, indexed_publish_us), (scan, scan_publish_us)) = build_pair(n);
         let reps = if n <= 1_000 { 20 } else { 5 };
         for (label, src) in QUERIES {
             let query = Query::parse(src).expect("bench query parses");
@@ -115,6 +146,8 @@ pub fn run(quick: bool) -> Report {
                     format!("{}x", fmt1(speedup)),
                     indexed_out.stats.plan.to_string(),
                     indexed_out.stats.candidates.to_string(),
+                    fmt1(scan_publish_us),
+                    fmt1(indexed_publish_us),
                 ],
                 &json!({
                     "tuples": n,
@@ -127,6 +160,8 @@ pub fn run(quick: bool) -> Report {
                     "candidates": indexed_out.stats.candidates,
                     "postings_consulted": indexed_out.stats.postings_consulted,
                     "results": indexed_out.results.len(),
+                    "scan_publish_us": scan_publish_us,
+                    "indexed_publish_us": indexed_publish_us,
                 }),
             );
         }
@@ -134,7 +169,8 @@ pub fn run(quick: bool) -> Report {
     report.note(format!(
         "corpus: synthetic Grid services plus {NEEDLE_COUNT} needle tuples; \
          scan = content_index disabled (seed behaviour), indexed = default planner; \
-         selectivity labels are the approximate fraction of tuples matched"
+         selectivity labels are the approximate fraction of tuples matched; \
+         publish µs = mean time to publish one tuple with its content into each registry"
     ));
     write_bench(&mut report, "BENCH_p2_index.json", quick);
     report
@@ -150,7 +186,7 @@ mod tests {
     /// margin holds even in debug builds on loaded runners.
     #[test]
     fn indexed_needle_query_is_3x_faster_than_scan_at_10k() {
-        let (indexed, scan) = build_pair(10_000);
+        let ((indexed, _), (scan, _)) = build_pair(10_000);
         let query = Query::parse(QUERIES[0].1).expect("needle query parses");
         let (scan_ms, scan_out) = measure(&scan, &query, 3);
         let (indexed_ms, indexed_out) = measure(&indexed, &query, 3);

@@ -530,10 +530,9 @@ impl HyperRegistry {
         let now = self.clock.now();
         let mut shard = self.store.write_shard(self.store.shard_of(link));
         self.count_evictions(shard.sweep(now));
-        let Some(current) = shard.get(link) else {
+        if shard.get(link).is_none() {
             return Err(RegistryError::NotPublished(link.to_owned()));
-        };
-        let (type_, context) = (current.type_.clone(), current.context.clone());
+        }
         let ttl = ttl_ms.unwrap_or(self.config.default_ttl_ms);
         if ttl < self.config.min_ttl_ms || ttl > self.config.max_ttl_ms {
             return Err(RegistryError::BadTtl {
@@ -542,7 +541,7 @@ impl HyperRegistry {
                 max: self.config.max_ttl_ms,
             });
         }
-        shard.upsert_with_ordinal(link, &type_, &context, now, ttl, 0);
+        shard.renew(link, now, ttl);
         RegistryStats::add(&self.stats.refreshes, 1);
         RegistryStats::add(&self.stats.mutations, 1);
         drop(shard);

@@ -33,8 +33,9 @@ pub struct TupleStore {
     /// sargable predicates without a scan. `None` when disabled; content
     /// must then be installed through [`TupleStore::get_mut`]-style direct
     /// mutation only. Maintained by every content-changing operation so it
-    /// never diverges from `by_link`.
-    content_index: Option<ContentIndex>,
+    /// never diverges from `by_link`. Boxed, so a store without an index
+    /// (every lean simulated registry) stays small.
+    content_index: Option<Box<ContentIndex>>,
     next_ordinal: u64,
     /// Durable sink for mutations ([`crate::persist`]); `None` (the
     /// default) keeps the store purely in-memory with zero overhead.
@@ -45,15 +46,7 @@ pub struct TupleStore {
 
 impl Default for TupleStore {
     fn default() -> Self {
-        TupleStore {
-            by_link: HashMap::new(),
-            by_type: HashMap::new(),
-            by_context: HashMap::new(),
-            expiry: BTreeMap::new(),
-            content_index: Some(ContentIndex::default()),
-            next_ordinal: 0,
-            backend: None,
-        }
+        TupleStore::with_index(Some(Box::default()))
     }
 }
 
@@ -67,7 +60,19 @@ impl TupleStore {
     /// cost nothing extra and [`TupleStore::content_candidates`] returns
     /// `None`, forcing callers onto the scan path.
     pub fn without_content_index() -> Self {
-        TupleStore { content_index: None, ..Self::default() }
+        TupleStore::with_index(None)
+    }
+
+    fn with_index(content_index: Option<Box<ContentIndex>>) -> Self {
+        TupleStore {
+            by_link: HashMap::new(),
+            by_type: HashMap::new(),
+            by_context: HashMap::new(),
+            expiry: BTreeMap::new(),
+            content_index,
+            next_ordinal: 0,
+            backend: None,
+        }
     }
 
     /// Number of live tuples (including any not yet swept but expired —
@@ -177,6 +182,31 @@ impl TupleStore {
             self.debug_assert_link(link);
             true
         }
+    }
+
+    /// Renew the lease of a stored tuple in place (a soft-state refresh):
+    /// only `ts2`, `ttl` and the tuple's place in the expiry queue change,
+    /// so nothing is copied and the content index is not touched. Logged
+    /// as the equivalent upsert. Returns `false` when the link is unknown.
+    pub fn renew(&mut self, link: &str, now: Time, ttl_ms: u64) -> bool {
+        let Some(t) = self.by_link.get_mut(link) else {
+            return false;
+        };
+        if let Some(b) = &self.backend {
+            b.record(&WalOp::Upsert {
+                link: Cow::Borrowed(link),
+                type_: Cow::Borrowed(&t.type_),
+                context: Cow::Borrowed(&t.context),
+                now,
+                ttl_ms,
+                ordinal: 0,
+            });
+        }
+        let old_expiry = t.expires();
+        t.refresh(now, ttl_ms);
+        move_expiry(&mut self.expiry, old_expiry, t.expires(), link);
+        self.debug_assert_link(link);
+        true
     }
 
     /// Install content for `link` at `now`, keeping the content index
@@ -590,6 +620,33 @@ mod tests {
         s.remove("a");
         assert_eq!(s.links_matching_context(|_| true), ["b"]);
         assert_eq!(s.context_count(), 1);
+    }
+
+    #[test]
+    fn a_store_keeps_its_content_index_behind_a_box() {
+        // Every lean simulated registry holds a store without an index, so
+        // the index's tables must not sit inline in the struct.
+        let size = std::mem::size_of::<TupleStore>();
+        assert!(size <= 408, "TupleStore is {size} B");
+        assert!(size < std::mem::size_of::<ContentIndex>(), "TupleStore is {size} B");
+    }
+
+    #[test]
+    fn renew_moves_the_lease_and_keeps_everything_else() {
+        let mut s = store_with(2, 1000);
+        let before = s.get("http://svc0").unwrap().clone();
+        assert!(s.renew("http://svc0", Time(500), 2000));
+        assert!(!s.renew("http://nope", Time(500), 2000));
+        let t = s.get("http://svc0").unwrap();
+        assert_eq!((t.refreshed, t.ttl_ms, t.expires()), (Time(500), 2000, Time(2500)));
+        assert_eq!(
+            (&t.type_, &t.context, t.ordinal),
+            (&before.type_, &before.context, before.ordinal)
+        );
+        assert_eq!(t.to_xml().attr("ts2"), Some("500"));
+        assert_eq!(s.sweep(Time(1000)), 1, "only the other tuple expires at its old deadline");
+        assert_eq!(s.next_expiry(), Some(Time(2500)));
+        s.check_consistent();
     }
 
     #[test]

@@ -22,8 +22,9 @@
 
 use crate::baseline::ServiceRecord;
 use crate::clock::Time;
+use std::io::Write;
 use std::sync::{Arc, OnceLock};
-use wsda_xml::{Attribute, Element, XmlNode};
+use wsda_xml::{Attribute, Element, SmallStr, XmlNode};
 
 /// The primary key of a tuple: its content link.
 pub type TupleKey = String;
@@ -118,8 +119,8 @@ impl Tuple {
         self.refreshed = now;
         self.ttl_ms = ttl_ms;
         let doc = self.doc_mut();
-        doc.set_attr("ts2", now.millis().to_string());
-        doc.set_attr("ttl", ttl_ms.to_string());
+        doc.set_attr("ts2", decimal(now.millis()));
+        doc.set_attr("ttl", decimal(ttl_ms));
     }
 
     /// Change the tuple type (a re-publication may retag the tuple).
@@ -174,19 +175,28 @@ impl Tuple {
     }
 
     /// Whether the document's attributes mirror the metadata fields (a
-    /// debug-build consistency check for the store).
+    /// debug-build consistency check for the store). It allocates
+    /// nothing, so debug and release builds make the same allocations.
     #[cfg(debug_assertions)]
     pub(crate) fn doc_is_current(&self) -> bool {
-        let expected = wrapper(
-            &self.link,
-            &self.type_,
-            &self.context,
-            self.inserted,
-            self.refreshed,
-            self.ttl_ms,
-            self.content_cached,
-        );
-        self.doc.attributes() == expected.attributes()
+        let stamps = [self.inserted.millis(), self.refreshed.millis(), self.ttl_ms].map(decimal);
+        let tc = self.content_cached.map(|tc| decimal(tc.millis()));
+        let expected = [
+            ("link", self.link.as_str()),
+            ("type", &self.type_),
+            ("ctx", &self.context),
+            ("ts1", &stamps[0]),
+            ("ts2", &stamps[1]),
+            ("ttl", &stamps[2]),
+        ]
+        .into_iter()
+        .chain(tc.as_deref().map(|tc| ("tc", tc)));
+        let attributes = self.doc.attributes();
+        attributes.len() == 6 + usize::from(tc.is_some())
+            && attributes
+                .iter()
+                .zip(expected)
+                .all(|(a, (name, value))| a.name == name && a.value == value)
             && self.content().is_some() == self.content_cached.is_some()
     }
 
@@ -215,13 +225,24 @@ fn wrapper(
         .with_attr("link", link)
         .with_attr("type", type_)
         .with_attr("ctx", context)
-        .with_attr("ts1", inserted.millis().to_string())
-        .with_attr("ts2", refreshed.millis().to_string())
-        .with_attr("ttl", ttl_ms.to_string());
+        .with_attr("ts1", decimal(inserted.millis()))
+        .with_attr("ts2", decimal(refreshed.millis()))
+        .with_attr("ttl", decimal(ttl_ms));
     if let Some(tc) = content_cached {
-        e.set_attr("tc", tc.millis().to_string());
+        e.set_attr("tc", decimal(tc.millis()));
     }
     e
+}
+
+/// `n` in decimal, formatted on the stack: a `u64` has at most 20 digits,
+/// which fit in [`SmallStr`]'s inline bytes, so a timestamp costs no heap
+/// block.
+fn decimal(n: u64) -> SmallStr {
+    let mut digits = [0u8; 20];
+    let mut rest = &mut digits[..];
+    write!(rest, "{n}").expect("a u64 has at most 20 digits");
+    let len = 20 - rest.len();
+    SmallStr::from(std::str::from_utf8(&digits[..len]).expect("decimal digits are ASCII"))
 }
 
 /// Set or remove `tc`, the wrapper's last attribute, keeping the
@@ -235,7 +256,7 @@ fn set_tc(doc: &mut Element, tc: Option<Time>) {
     match tc {
         Some(tc) => {
             attributes.reserve_exact(1);
-            attributes.push(Attribute::new("tc", tc.millis().to_string()));
+            attributes.push(Attribute::new("tc", decimal(tc.millis())));
         }
         None => attributes.shrink_to_fit(),
     }
@@ -339,6 +360,17 @@ mod tests {
         assert_exact(&mut t, 7, 1);
         t.clear_content();
         assert_exact(&mut t, 6, 0);
+    }
+
+    #[test]
+    fn timestamps_render_in_decimal() {
+        for n in [0, 7, 10, 1_234_567, u64::MAX / 8, u64::MAX] {
+            assert_eq!(decimal(n), n.to_string().as_str());
+        }
+        let mut t = Tuple::new("http://x/svc", "service", "cern.ch", Time(0), u64::MAX, 7);
+        t.refresh(Time(u64::MAX / 4), u64::MAX / 8);
+        assert_eq!(t.to_xml().attr("ts2"), Some((u64::MAX / 4).to_string().as_str()));
+        assert_eq!(t.to_xml().attr("ttl"), Some((u64::MAX / 8).to_string().as_str()));
     }
 
     #[test]

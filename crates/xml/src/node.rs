@@ -231,15 +231,17 @@ impl Element {
     /// document order — the XPath `string()` value of an element.
     pub fn text(&self) -> String {
         let mut out = String::new();
-        self.collect_text(&mut out);
+        self.append_text(&mut out);
         out
     }
 
-    fn collect_text(&self, out: &mut String) {
+    /// Append [`Element::text`] to `out`, so a caller reading the string
+    /// values of many elements can reuse one buffer.
+    pub fn append_text(&self, out: &mut String) {
         for c in &self.children {
             match c {
                 XmlNode::Text(t) | XmlNode::CData(t) => out.push_str(t),
-                XmlNode::Element(e) => e.collect_text(out),
+                XmlNode::Element(e) => e.append_text(out),
                 _ => {}
             }
         }
